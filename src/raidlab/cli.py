@@ -10,7 +10,6 @@ import json
 import os
 import sys
 import time
-from itertools import combinations
 
 from . import builders, codes, declustering, reliability as rel
 from . import ctmc as ctmcmod
@@ -173,21 +172,6 @@ def cmd_analyze(args):
 # code
 
 
-def _erasure_patterns(code, spec, granularity, budget=codes.DEFAULT_BUDGET):
-    import math
-    units = code.columns() if granularity == "column" else list(code.symbols)
-    if spec in ("all-pairs", "all-triples", "all-quads"):
-        size = {"all-pairs": 2, "all-triples": 3, "all-quads": 4}[spec]
-        total = math.comb(len(units), size)
-        if total > budget:
-            raise BudgetExceeded("%d patterns exceed the %d budget"
-                                 % (total, budget))
-        return combinations(units, size), total
-    if isinstance(spec, list):
-        return iter([tuple(spec)]), 1
-    raise DomainError("unsupported erasure spec %r" % (spec,))
-
-
 def cmd_code(args):
     scenario = _scenario(args)
     if args.builder:
@@ -212,9 +196,14 @@ def cmd_code(args):
                     seed=_seed(args, scenario))
     if args.what == "check":
         spec = ccfg.get("erasures", "all-pairs")
-        patterns, total = _erasure_patterns(code, spec, granularity)
-        good = sum(codes.is_recoverable(code, p, granularity)
-                   for p in patterns)
+        all_k = ("all-pairs", "all-triples", "all-quads")
+        if isinstance(spec, list):
+            good, total = int(codes.is_recoverable(code, spec, granularity)), 1
+        elif spec in all_k:
+            _, _, (good, total) = codes.recoverable_fraction(
+                code, all_k.index(spec) + 2, granularity)
+        else:
+            raise DomainError("unsupported erasure spec %r" % (spec,))
         report.add("recoverable", good, "patterns", provenance="rank-test")
         report.add("total", total, "patterns")
         report.add("fraction", good / total, "")

@@ -6,9 +6,10 @@ erasure pattern is a rank question on the equation matrix restricted to the
 erased columns.
 """
 
+import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from . import gf
 
@@ -96,40 +97,36 @@ def _expand(code, pattern, granularity):
     raise ValueError("granularity must be 'symbol' or 'column'")
 
 
+def _peel(rows, erased):
+    """Erased symbols left after repeatedly solving every equation of `rows`
+    that has a single erased member."""
+    erased = set(erased)
+    touch = [r.keys() & erased for r in rows]
+    while erased:
+        solo = {next(iter(t)) for t in touch if len(t) == 1}
+        if not solo:
+            break
+        erased -= solo
+        touch = [t - solo for t in touch]
+    return erased
+
+
+def _restrict(rows, cols):
+    """Matrix of the dict rows on `cols` (in str order), keeping only the
+    rows that touch one of them."""
+    cols = sorted(cols, key=str)
+    return [[r.get(s, 0) for s in cols] for r in rows
+            if not r.keys().isdisjoint(cols)]
+
+
 def _solvable(field, rows, erased):
     """True iff `erased` symbols are determined by the equations `rows`.
 
     Peels equations with a single erased member first (cheap and it is how
     most local repairs resolve), then falls back to a joint rank test.
     """
-    erased = set(erased)
-    if not erased:
-        return True
-    touch = [set(r) & erased for r in rows]
-    # peeling pass
-    changed = True
-    while changed and erased:
-        changed = False
-        for t in touch:
-            if len(t) == 1:
-                sym = next(iter(t))
-                if sym in erased:
-                    erased.discard(sym)
-                    changed = True
-        if changed:
-            touch = [t & erased for t in touch]
-    if not erased:
-        return True
-    cols = sorted(erased, key=str)
-    idx = {s: i for i, s in enumerate(cols)}
-    mat = []
-    for r, t in zip(rows, touch):
-        if t:
-            row = [0] * len(cols)
-            for s in t:
-                row[idx[s]] = r[s]
-            mat.append(row)
-    return gf.rank(field, mat) == len(cols)
+    erased = _peel(rows, erased)
+    return not erased or gf.rank(field, _restrict(rows, erased)) == len(erased)
 
 
 def is_recoverable(code, erasures, granularity="symbol"):
@@ -150,69 +147,67 @@ def _base_view_recoverable(code, erased):
     """
     bv = code.base_view
     rows = code.parity_rows()
-    field = code.field
+    base_rows = [dict(eq) for eq in bv["equations"]]
+    stored = set().union(*base_rows)
     erased = set(erased)
-    while erased:
+    while True:
         # phase 1: peel own equations (local repairs)
-        progressed = True
-        while progressed and erased:
-            progressed = False
-            for r in rows:
-                t = set(r) & erased
-                if len(t) == 1:
-                    erased.discard(t.pop())
-                    progressed = True
+        erased = _peel(rows, erased)
         if not erased:
             return True
         # phase 2: joint solve on the base view with virtual symbols
-        base_erased = set()
-        for vid, parts in bv["virtuals"].items():
-            if any(s in erased for s, _ in parts):
-                base_erased.add(vid)
-        stored = {s for eq in bv["equations"] for s, _ in eq}
+        base_erased = {vid for vid, parts in bv["virtuals"].items()
+                       if any(s in erased for s, _ in parts)}
         base_erased |= erased & stored
-        mat = []
-        cols = sorted(base_erased, key=str)
-        idx = {s: i for i, s in enumerate(cols)}
-        for eq in bv["equations"]:
-            row = [0] * len(cols)
-            hit = False
-            for s, c in eq:
-                if s in base_erased:
-                    row[idx[s]] = c
-                    hit = True
-            if hit:
-                mat.append(row)
-        if not cols:
-            return not erased
-        if gf.rank(field, mat) == len(cols):
-            # base decode recovers its own symbols; drop them and re-peel
-            recovered = {s for s in cols if s in erased}
-            if not recovered:
-                return False
-            erased -= recovered
-        else:
+        # base decode recovers its own symbols; drop them and re-peel
+        recovered = base_erased & erased
+        if not base_erased or gf.rank(code.field, _restrict(
+                base_rows, base_erased)) < len(base_erased) or not recovered:
             return False
-    return True
+        erased -= recovered
+
+
+def _walk(code, granularity, budget, decoder="joint", size=None):
+    """Verdicts on the erasure patterns of `size` units, or of every size
+    from 1 up when size is None: yields (size, total, verdicts) per size.
+
+    verdicts decides the size's patterns lazily, in combinations order, and
+    is charged to the rank-test budget when first read, so a size that the
+    caller skips or abandons costs nothing.
+    """
+    if granularity not in ("symbol", "column"):
+        raise ValueError("granularity must be 'symbol' or 'column'")
+    if decoder not in ("joint", "local-global"):
+        raise ValueError("unknown decoder %r" % (decoder,))
+    if decoder == "local-global" and not code.base_view:
+        raise ValueError("code %s has no base view" % code.name)
+    units = code.columns() if granularity == "column" else list(code.symbols)
+    rows = code.parity_rows()
+    spent = 0
+
+    def verdicts(f):
+        nonlocal spent
+        spent += math.comb(len(units), f)
+        if spent > budget:
+            raise BudgetExceeded("%d patterns exceed the budget of %d"
+                                 % (spent, budget))
+        for p in combinations(units, f):
+            erased = _expand(code, p, granularity)
+            if decoder == "joint":
+                yield _solvable(code.field, rows, erased)
+            else:
+                yield _base_view_recoverable(code, erased)
+
+    for f in range(1, len(units) + 1) if size is None else (size,):
+        yield f, math.comb(len(units), f), verdicts(f)
 
 
 def erasure_tolerance(code, granularity="symbol", budget=DEFAULT_BUDGET):
     """Largest t such that every erasure pattern of size t is recoverable."""
-    units = code.columns() if granularity == "column" else list(code.symbols)
-    rows = code.parity_rows()
-    spent = 0
     t = 0
-    for size in range(1, len(units) + 1):
-        total = _ncr(len(units), size)
-        spent += total
-        if spent > budget:
-            raise BudgetExceeded("tolerance enumeration needs %d tests" % spent)
-        ok = all(
-            _solvable(code.field, rows, _expand(code, p, granularity))
-            for p in combinations(units, size)
-        )
-        if not ok:
-            return t
+    for size, _, verdicts in _walk(code, granularity, budget):
+        if not all(verdicts):
+            break
         t = size
     return t
 
@@ -226,46 +221,18 @@ def recoverable_fraction(code, f, granularity="symbol", decoder="joint",
     then the base code), which is how split-parity codes are actually run.
     Returns (fraction, exact Fraction, (recoverable, total)).
     """
-    units = code.columns() if granularity == "column" else list(code.symbols)
-    total = _ncr(len(units), f)
-    if total > budget:
-        raise BudgetExceeded("fraction enumeration needs %d tests" % total)
-    if decoder == "local-global" and not code.base_view:
-        raise ValueError("code %s has no base view" % code.name)
-    rows = code.parity_rows()
-    good = 0
-    for p in combinations(units, f):
-        erased = _expand(code, p, granularity)
-        if decoder == "local-global":
-            ok = _base_view_recoverable(code, erased)
-        else:
-            ok = _solvable(code.field, rows, erased)
-        good += ok
+    (_, total, verdicts), = _walk(code, granularity, budget, decoder, f)
+    good = sum(verdicts)
     frac = Fraction(good, total)
     return float(frac), frac, (good, total)
 
 
 def loss_coefficients(code, granularity="symbol", budget=DEFAULT_BUDGET):
     """A[i] = number of i-failure sets NOT causing data loss, i = 0..n."""
-    units = code.columns() if granularity == "column" else list(code.symbols)
-    rows = code.parity_rows()
     coeffs = [1]
-    spent = 0
-    dead = False
-    for size in range(1, len(units) + 1):
-        if dead:
-            coeffs.append(0)
-            continue
-        spent += _ncr(len(units), size)
-        if spent > budget:
-            raise BudgetExceeded("loss enumeration needs %d tests" % spent)
-        good = sum(
-            _solvable(code.field, rows, _expand(code, p, granularity))
-            for p in combinations(units, size)
-        )
-        coeffs.append(good)
-        if good == 0:
-            dead = True
+    for _, _, verdicts in _walk(code, granularity, budget):
+        # supersets of fatal patterns are fatal: past a dead size, no tests
+        coeffs.append(sum(verdicts) if coeffs[-1] else 0)
     return coeffs
 
 
@@ -284,64 +251,33 @@ def classify_array_code(code, n, m, r, s, budget=DEFAULT_BUDGET):
     cols = code.columns()
     if len(cols) != n:
         raise ValueError("expected %d columns" % n)
-    eq_rows = code.parity_rows()
-    all_syms = set(code.symbols)
-
-    def ok(erased):
-        return _solvable(code.field, eq_rows, erased)
-
-    # SD: m columns + s extra sectors
-    sd_tests = _ncr(n, m) * _ncr(r * (n - m), s)
-    if sd_tests > budget:
-        raise BudgetExceeded("SD check needs %d tests" % sd_tests)
-    sd = True
-    for colset in combinations(cols, m):
-        base = _expand(code, colset, "column")
-        rest = sorted(all_syms - base, key=str)
-        for extra in combinations(rest, s):
-            if not ok(base | set(extra)):
-                sd = False
-                break
-        if not sd:
-            break
-
-    # PMDS: m per row + s anywhere
     row_choices = [list(combinations(sorted(rows_of[rr], key=str), m))
                    for rr in sorted(rows_of)]
-    pmds_tests = 1
-    for rc in row_choices:
-        pmds_tests *= len(rc)
-    pmds_tests *= _ncr(r * n - r * m, s)
-    if pmds_tests > budget:
-        raise BudgetExceeded("PMDS check needs %d tests" % pmds_tests)
-    pmds = True
-    for picks in _product(row_choices):
-        base = set()
-        for p in picks:
-            base.update(p)
-        rest = sorted(all_syms - base, key=str)
-        for extra in combinations(rest, s):
-            if not ok(base | set(extra)):
-                pmds = False
-                break
-        if not pmds:
-            break
-    if pmds and not sd:
+    # each property: its test count and the erased sets it adds s extras to
+    checks = {
+        "SD": (math.comb(n, m) * math.comb(r * (n - m), s),
+               (_expand(code, colset, "column")
+                for colset in combinations(cols, m))),
+        "PMDS": (math.prod(map(len, row_choices)) * math.comb(r * (n - m), s),
+                 (set().union(*picks) for picks in product(*row_choices))),
+    }
+    eq_rows = code.parity_rows()
+    all_syms = set(code.symbols)
+    holds = {}
+    for name, (tests, bases) in checks.items():
+        if tests > budget:
+            raise BudgetExceeded("%s check needs %d tests" % (name, tests))
+        holds[name] = all(
+            _solvable(code.field, eq_rows, base.union(extra))
+            for base in bases
+            for extra in combinations(sorted(all_syms - base, key=str), s))
+    if holds["PMDS"] and not holds["SD"]:
         raise AssertionError("PMDS without SD; enumeration is inconsistent")
-    if pmds:
+    if holds["PMDS"]:
         return "PMDS"
-    if sd:
+    if holds["SD"]:
         return "SD"
     return "neither"
-
-
-def _product(lists):
-    if not lists:
-        yield ()
-        return
-    for head in lists[0]:
-        for tail in _product(lists[1:]):
-            yield (head,) + tail
 
 
 @dataclass
@@ -421,23 +357,8 @@ def verify_plan(code, erasures, reads, granularity="symbol"):
     reads = set(reads)
     unread = set(code.symbols) - erased - reads
     rows = code.parity_rows()
-
-    def restricted_rank(cols):
-        cols = sorted(cols, key=str)
-        idx = {s: i for i, s in enumerate(cols)}
-        mat = []
-        for r in rows:
-            t = set(r) & set(cols)
-            if t:
-                row = [0] * len(cols)
-                for s in t:
-                    row[idx[s]] = r[s]
-                mat.append(row)
-        return gf.rank(code.field, mat)
-
-    lhs = restricted_rank(erased | unread)
-    rhs = len(erased) + restricted_rank(unread)
-    return lhs == rhs
+    lhs = gf.rank(code.field, _restrict(rows, erased | unread))
+    return lhs == len(erased) + gf.rank(code.field, _restrict(rows, unread))
 
 
 def repair_metrics(code, budget=DEFAULT_BUDGET):
@@ -514,72 +435,41 @@ def encode(code, data_values, rng=None):
         # fall back to a joint solve for the remaining checks
         unknown = sorted({s for _, terms in pending for s, _ in terms
                           if s not in values}, key=str)
-        idx = {s: i for i, s in enumerate(unknown)}
-        rows = []
-        rhs = []
-        for _, terms in pending:
-            row = [0] * len(unknown)
-            acc = 0
-            for s, c in terms:
-                if s in idx:
-                    row[idx[s]] = c
-                else:
-                    acc ^= code.field.mul(c, values[s])
-            rows.append(row)
-            rhs.append(acc)
-        if len(rows) != len(unknown):
-            raise ValueError("encode system is not square")
-        sol = gf.solve(code.field, rows, [rhs])
+        mat, rhs = _system(code.field, pending, unknown, values)
+        sol = gf.solve(code.field, mat, [rhs])
         if sol is None:
-            raise ValueError("encode system is singular")
-        for s, v in zip(unknown, sol[0]):
-            values[s] = v
+            raise ValueError("encode system does not determine the checks")
+        values.update(zip(unknown, sol[0]))
     return values
+
+
+def _system(field, equations, unknown, values):
+    """Matrix on the `unknown` symbols and right-hand side of the
+    (check, terms) `equations`, with the terms of known `values` moved
+    right."""
+    idx = {s: i for i, s in enumerate(unknown)}
+    mat = []
+    rhs = []
+    for _, terms in equations:
+        row = [0] * len(unknown)
+        acc = 0
+        for s, c in terms:
+            if s in idx:
+                row[idx[s]] = c
+            else:
+                acc ^= field.mul(c, values[s])
+        mat.append(row)
+        rhs.append(acc)
+    return mat, rhs
 
 
 def decode(code, values, erased):
     """Solve the erased symbols from surviving values; None if not possible."""
     erased = sorted(set(erased), key=str)
-    idx = {s: i for i, s in enumerate(erased)}
-    rows = []
-    rhs = []
-    for _, terms in code.equations:
-        row = [0] * len(erased)
-        acc = 0
-        hit = False
-        for s, c in terms:
-            if s in idx:
-                row[idx[s]] = c
-                hit = True
-            else:
-                acc ^= code.field.mul(c, values[s])
-        if hit:
-            rows.append(row)
-            rhs.append(acc)
-    # reduce to a square solvable system via elimination
-    aug = [r + [b] for r, b in zip(rows, rhs)]
-    f = code.field
-    r = 0
-    for c in range(len(erased)):
-        piv = None
-        for i in range(r, len(aug)):
-            if aug[i][c]:
-                piv = i
-                break
-        if piv is None:
-            return None
-        aug[r], aug[piv] = aug[piv], aug[r]
-        iv = f.inv(aug[r][c])
-        if iv != 1:
-            aug[r] = [f.mul(v, iv) for v in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c]:
-                fac = aug[i][c]
-                aug[i] = [a ^ f.mul(fac, b) for a, b in zip(aug[i], aug[r])]
-        r += 1
-    if r < len(erased):
-        return None
-    return {s: aug[i][-1] for s, i in ((s, idx[s]) for s in erased)}
+    mat, rhs = _system(code.field, code.equations, erased, values)
+    # solve reads the unknowns off the rows: a code without any decodes nothing
+    sol = gf.solve(code.field, mat, [rhs]) if mat else None
+    return None if sol is None else dict(zip(erased, sol[0]))
 
 
 def grid_compose(row_factory, col_factory, k1, k2):
@@ -738,11 +628,3 @@ def from_json(doc):
         group_map=doc.get("group_map"),
     )
 
-
-def _ncr(n, r):
-    if r < 0 or r > n:
-        return 0
-    out = 1
-    for i in range(r):
-        out = out * (n - i) // (i + 1)
-    return out

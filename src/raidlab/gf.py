@@ -76,12 +76,9 @@ GF16 = Field(4)
 GF256 = Field(8)
 
 
-def rank(field, rows):
-    """Rank of a matrix given as list of coefficient lists."""
-    m = [list(r) for r in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
+def _eliminate(field, m, ncols):
+    """Gauss-Jordan on the rows `m` in place, pivoting on the first `ncols`
+    columns; returns the rank.  Pivot rows move to the top, scaled to 1."""
     r = 0
     for c in range(ncols):
         piv = None
@@ -105,28 +102,21 @@ def rank(field, rows):
     return r
 
 
-def solve(field, a_rows, b_vecs):
-    """Solve A x = b for square nonsingular A; b_vecs is a list of columns.
+def rank(field, rows):
+    """Rank of a matrix given as list of coefficient lists."""
+    m = [list(r) for r in rows]
+    return _eliminate(field, m, len(m[0])) if m else 0
 
-    Returns the list of solution columns, or None if A is singular.
+
+def solve(field, a_rows, b_vecs):
+    """Solve A x = b; b_vecs is a list of columns.
+
+    A is given by its rows, at least one, and may have more rows than
+    unknowns.  Returns the list of solution columns, or None unless A has
+    full column rank and every b satisfies the rows beyond that rank.
     """
-    n = len(a_rows)
+    n = len(a_rows[0])
     m = [list(r) + [bv[i] for bv in b_vecs] for i, r in enumerate(a_rows)]
-    width = n + len(b_vecs)
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            return None
-        m[c], m[piv] = m[piv], m[c]
-        iv = field.inv(m[c][c])
-        if iv != 1:
-            m[c] = [field.mul(v, iv) for v in m[c]]
-        for i in range(n):
-            if i != c and m[i][c]:
-                f = m[i][c]
-                m[i] = [a ^ field.mul(f, b) for a, b in zip(m[i], m[c])]
+    if _eliminate(field, m, n) < n or any(any(r[n:]) for r in m[n:]):
+        return None
     return [[m[i][n + j] for i in range(n)] for j in range(len(b_vecs))]

@@ -13,12 +13,6 @@ import numpy as np
 from . import ctmc as ctmcmod
 
 
-def _ncr(n, r):
-    if r < 0 or r > n:
-        return 0
-    return math.comb(n, r)
-
-
 def falling_factorial(n, k):
     out = 1
     for i in range(k):
@@ -59,7 +53,7 @@ def raid_reliability_no_repair(n_total, k, r):
     repair: sum_{i<=k} C(n,i) r^{n-i} (1-r)^i."""
     if k >= n_total:
         raise ValueError("tolerance must be below the disk count")
-    return sum(_ncr(n_total, i) * r ** (n_total - i) * (1.0 - r) ** i
+    return sum(math.comb(n_total, i) * r ** (n_total - i) * (1.0 - r) ** i
                for i in range(k + 1))
 
 
@@ -127,10 +121,10 @@ def angus_mttdl(n, k_data, mttf, mttr, exact=True):
     m = n - k_data; exact=False drops the correction sum.
     """
     m = n - k_data
-    lead = mttf ** (m + 1) / (k_data * _ncr(n, k_data) * mttr ** m)
+    lead = mttf ** (m + 1) / (k_data * math.comb(n, k_data) * mttr ** m)
     if not exact:
         return lead
-    s = sum(_ncr(n, i) * (mttr / mttf) ** i for i in range(m + 1))
+    s = sum(math.comb(n, i) * (mttr / mttf) ** i for i in range(m + 1))
     return lead * s
 
 
@@ -313,7 +307,7 @@ def _binom_tail(n, p, k_min):
     # sum the first few terms of the complement when k_min small, else direct
     total = 0.0
     for j in range(k_min, n + 1):
-        term = _ncr(n, j) * p ** j * (1.0 - p) ** (n - j)
+        term = math.comb(n, j) * p ** j * (1.0 - p) ** (n - j)
         total += term
         if term < total * 1e-18:
             break
@@ -417,7 +411,7 @@ def raid6_lse_chain(params, lse, p_seg, mu2=None):
     delta = params.delta
     mu1 = params.mu
     mu2 = mu1 if mu2 is None else mu2
-    p_recf = _ncr(n - 1, 2) * p_seg * p_seg
+    p_recf = math.comb(n - 1, 2) * p_seg * p_seg
     puf_r = -math.expm1(lse.segments_per_disk * math.log1p(-min(p_recf, 1.0)))
     puf2 = p_uf(lse, n, 2, p_seg)
     edges = [
@@ -498,20 +492,20 @@ def mirrored_coefficients(org, n, i, clusters=2):
     if org == "bm":
         if n % 2:
             raise ValueError("bm needs even N")
-        return _ncr(m, i) * 2 ** i if i <= m else 0
+        return math.comb(m, i) * 2 ** i if i <= m else 0
     if org == "id":
         c = clusters
         if n % c:
             raise ValueError("id needs c | N")
-        return _ncr(c, i) * (n // c) ** i if i <= c else 0
+        return math.comb(c, i) * (n // c) ** i if i <= c else 0
     if org == "grd":
         if n % 2:
             raise ValueError("grd needs even N")
-        return 2 * _ncr(m, i) if i <= m else 0
+        return 2 * math.comb(m, i) if i <= m else 0
     if org == "cd":
         if i > m:
             return 0
-        return _ncr(n - i - 1, i - 1) + _ncr(n - i, i)
+        return math.comb(n - i - 1, i - 1) + math.comb(n - i, i)
     raise ValueError("unknown organization %r" % (org,))
 
 
@@ -524,6 +518,12 @@ def mirrored_reliability(org, n, r, clusters=2):
             break
         total += a * r ** (n - i) * (1.0 - r) ** i
     return total
+
+
+def _ncr(n, r):
+    # C(n, r) that is 0 for n < 0 instead of raising: `compare shortcut --N`
+    # passes any int as n to the SHORTCUT_TERMS coefficients below
+    return math.comb(n, r) if n >= 0 else 0
 
 
 SHORTCUT_TERMS = {

@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -158,6 +159,15 @@ class TestFractions:
         c = builders.raid4k(10, 4)
         assert recoverable_fraction(c, 4)[0] == 1.0
 
+    def test_unknown_decoder_rejected(self):
+        with pytest.raises(ValueError, match="decoder"):
+            recoverable_fraction(builders.rdp(5), 2, decoder="nonsense")
+
+    def test_unknown_granularity_rejected_before_budget(self):
+        with pytest.raises(ValueError, match="granularity"):
+            recoverable_fraction(builders.rdp(5), 2, granularity="sector",
+                                 budget=0)
+
 
 class TestClassification:
     def test_pmds_variant(self):
@@ -167,12 +177,11 @@ class TestClassification:
     def test_sd_variant(self):
         c = builders.pmds_fig("sd")
         assert classify_array_code(c, n=7, m=1, r=4, s=2) == "SD"
-        # the PMDS-style one-per-row pattern that SD codes miss
-        from raidlab.codes import _solvable
-        found_bad = False
-        rows_of = {}
-        for s, r in c.row_map.items():
-            rows_of.setdefault(r, []).append(s)
+        # a PMDS-style pattern that SD codes miss: one sector in each of
+        # the four rows plus two more (d3 in row 0, g1 in row 3)
+        pattern = ["d0", "d3", "d10", "d12", "d19", "g1"]
+        assert not is_recoverable(c, pattern)
+        assert is_recoverable(builders.pmds_fig("pmds"), pattern)
         # spot: whole-column failures stay recoverable
         for col in c.columns():
             assert is_recoverable(c, [col], "column")
@@ -353,6 +362,25 @@ class TestLossCoefficients:
         # three-failure survivors: all but the data-centered triples
         import math
         assert math.comb(8, 3) - a[3] == 4
+
+
+class TestEnumeratorConsistency:
+    @pytest.mark.parametrize("make,granularity", [
+        (lambda: builders.rdp(5), "column"),
+        (builders.was_lrc_6_2_2, "column"),
+        (lambda: builders.hvpc(2, 2), "symbol"),
+        (lambda: builders.raid4k(6, 2), "symbol"),
+    ], ids=["rdp5", "was_lrc", "hvpc2x2", "raid4k6_2"])
+    def test_loss_fraction_tolerance_agree(self, make, granularity):
+        code = make()
+        n = len(code.columns() if granularity == "column" else code.symbols)
+        loss = loss_coefficients(code, granularity)
+        assert len(loss) == n + 1
+        for f in range(1, n + 1):
+            assert loss[f] == recoverable_fraction(code, f, granularity)[2][0]
+        t = erasure_tolerance(code, granularity)
+        assert all(loss[i] == comb(n, i) for i in range(t + 1))
+        assert t == n or loss[t + 1] < comb(n, t + 1)
 
 
 class TestSerialization:

@@ -1,10 +1,12 @@
 """Property-based checks of the structural invariants."""
 
+from itertools import combinations, permutations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from raidlab import builders, codes
+from raidlab import builders, codes, gf
 from raidlab.disk import DiskProfile, seek_distance_pmf, seek_time_moments, \
     transform_eval
 from raidlab.queueing import mg1_wait
@@ -96,10 +98,97 @@ class TestCodeProperties:
         syms = sorted(code.symbols, key=str)
         pattern = data.draw(st.sets(st.sampled_from(syms), min_size=1,
                                     max_size=4))
-        if not codes.is_recoverable(code, pattern):
-            return
         got = codes.decode(code, {s: v for s, v in values.items()
                                   if s not in pattern}, pattern)
-        assert got is not None
-        for s in pattern:
-            assert got[s] == values[s]
+        # decode fails exactly on the patterns the rank test rejects
+        assert (got is None) == (not codes.is_recoverable(code, pattern))
+        if got is not None:
+            for s in pattern:
+                assert got[s] == values[s]
+
+
+def _det(field, a):
+    """Determinant by permutation expansion; signs vanish in characteristic
+    2, so every term is added."""
+    total = 0
+    for perm in permutations(range(len(a))):
+        term = 1
+        for i, j in enumerate(perm):
+            term = field.mul(term, a[i][j])
+        total ^= term
+    return total
+
+
+def _minor_rank(field, a):
+    """Largest k with a nonzero k x k minor."""
+    rows, cols = len(a), len(a[0])
+    for k in range(min(rows, cols), 0, -1):
+        if any(_det(field, [[a[i][j] for j in cs] for i in rs])
+               for rs in combinations(range(rows), k)
+               for cs in combinations(range(cols), k)):
+            return k
+    return 0
+
+
+def _times(field, a, x):
+    out = []
+    for row in a:
+        acc = 0
+        for c, v in zip(row, x):
+            acc ^= field.mul(c, v)
+        out.append(acc)
+    return out
+
+
+FIELDS = {"GF2": gf.GF2, "GF16": gf.GF16, "GF256": gf.GF256}
+
+
+@st.composite
+def field_matrices(draw, rows, cols):
+    """(field, matrix) with the given shape strategies; zeros and ones are
+    drawn often so that singular matrices show up over GF(256) too."""
+    field = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    nr = draw(rows)
+    nc = draw(cols(nr))
+    el = st.one_of(st.just(0), st.just(1), st.integers(0, field.order - 1))
+    return field, [[draw(el) for _ in range(nc)] for _ in range(nr)]
+
+
+class TestEliminationOracle:
+    @given(field_matrices(st.integers(1, 4), lambda r: st.integers(1, 5)))
+    @settings(max_examples=300, deadline=None)
+    def test_rank_is_largest_nonzero_minor(self, fm):
+        field, a = fm
+        assert gf.rank(field, a) == _minor_rank(field, a)
+
+    @given(field_matrices(st.integers(1, 4), st.just), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_solve_square(self, fm, data):
+        field, a = fm
+        b = data.draw(st.lists(st.integers(0, field.order - 1),
+                               min_size=len(a), max_size=len(a)))
+        x = gf.solve(field, a, [b])
+        assert (x is None) == (_det(field, a) == 0)
+        if x is not None:
+            assert _times(field, a, x[0]) == b
+
+    @given(field_matrices(st.integers(1, 5),
+                          lambda r: st.integers(1, min(r, 4))), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_solve_overdetermined(self, fm, data):
+        field, a = fm
+        cols = len(a[0])
+        el = st.integers(0, field.order - 1)
+        if data.draw(st.booleans()):
+            x0 = data.draw(st.lists(el, min_size=cols, max_size=cols))
+            b = _times(field, a, x0)
+        else:
+            b = data.draw(st.lists(el, min_size=len(a), max_size=len(a)))
+        x = gf.solve(field, a, [b])
+        rank = _minor_rank(field, a)
+        # b is in the column space iff appending it leaves the rank as is
+        augmented = [r + [v] for r, v in zip(a, b)]
+        consistent = _minor_rank(field, augmented) == rank
+        assert (x is None) == (rank < cols or not consistent)
+        if x is not None:
+            assert _times(field, a, x[0]) == b
