@@ -8,6 +8,7 @@ erased columns.
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -77,13 +78,30 @@ class CodeSpec:
         return sorted(set(self.column_map.values()), key=str)
 
     def column_symbols(self, col):
-        return [s for s, c in self.column_map.items() if c == col]
+        return list(self._column_symbols.get(col, ()))
 
     def parity_rows(self):
         """Equations (including implied identities) as {symbol: coeff} dicts."""
         rows = [dict(terms) for _, terms in self.equations]
         rows.extend(dict(terms) for terms in self.extra_equations)
         return rows
+
+    # Derived once per code and shared by every query; callers must not
+    # mutate them (parity_rows() and column_symbols() hand out copies).
+    @cached_property
+    def _rows(self):
+        return tuple(self.parity_rows())
+
+    @cached_property
+    def _column_symbols(self):
+        cols = {}
+        for s, c in self.column_map.items():
+            cols.setdefault(c, []).append(s)
+        return cols
+
+    @cached_property
+    def _symbol_set(self):
+        return frozenset(self.symbols)
 
 
 def _expand(code, pattern, granularity):
@@ -92,7 +110,7 @@ def _expand(code, pattern, granularity):
     if granularity == "column":
         erased = set()
         for col in pattern:
-            erased.update(code.column_symbols(col))
+            erased.update(code._column_symbols.get(col, ()))
         return erased
     raise ValueError("granularity must be 'symbol' or 'column'")
 
@@ -132,10 +150,9 @@ def _solvable(field, rows, erased):
 def is_recoverable(code, erasures, granularity="symbol"):
     """True iff the erased symbols are uniquely determined by the survivors."""
     erased = _expand(code, erasures, granularity)
-    unknown = set(code.symbols)
-    if not erased <= unknown:
+    if not erased <= code._symbol_set:
         raise ValueError("erasures outside symbol space")
-    return _solvable(code.field, code.parity_rows(), erased)
+    return _solvable(code.field, code._rows, erased)
 
 
 def _base_view_recoverable(code, erased):
@@ -146,7 +163,7 @@ def _base_view_recoverable(code, erased):
     the base system determines all its unknowns, everything else peels.
     """
     bv = code.base_view
-    rows = code.parity_rows()
+    rows = code._rows
     base_rows = [dict(eq) for eq in bv["equations"]]
     stored = set().union(*base_rows)
     erased = set(erased)
@@ -182,7 +199,7 @@ def _walk(code, granularity, budget, decoder="joint", size=None):
     if decoder == "local-global" and not code.base_view:
         raise ValueError("code %s has no base view" % code.name)
     units = code.columns() if granularity == "column" else list(code.symbols)
-    rows = code.parity_rows()
+    rows = code._rows
     spent = 0
 
     def verdicts(f):
@@ -261,8 +278,8 @@ def classify_array_code(code, n, m, r, s, budget=DEFAULT_BUDGET):
         "PMDS": (math.prod(map(len, row_choices)) * math.comb(r * (n - m), s),
                  (set().union(*picks) for picks in product(*row_choices))),
     }
-    eq_rows = code.parity_rows()
-    all_syms = set(code.symbols)
+    eq_rows = code._rows
+    all_syms = code._symbol_set
     holds = {}
     for name, (tests, bases) in checks.items():
         if tests > budget:
@@ -298,7 +315,7 @@ def repair_plan(code, erasures, granularity="symbol", exact_limit=1 << 16):
     otherwise falls back to a greedy cover (flagged non-optimal).
     """
     erased = _expand(code, erasures, granularity)
-    rows = code.parity_rows()
+    rows = code._rows
     if not _solvable(code.field, rows, erased):
         raise UnrecoverableError("pattern %r is not recoverable" % (erasures,))
     relevant = [(i, r) for i, r in enumerate(rows) if set(r) & erased]
@@ -355,8 +372,8 @@ def verify_plan(code, erasures, reads, granularity="symbol"):
     """
     erased = _expand(code, erasures, granularity)
     reads = set(reads)
-    unread = set(code.symbols) - erased - reads
-    rows = code.parity_rows()
+    unread = code._symbol_set - erased - reads
+    rows = code._rows
     lhs = gf.rank(code.field, _restrict(rows, erased | unread))
     return lhs == len(erased) + gf.rank(code.field, _restrict(rows, unread))
 

@@ -7,13 +7,12 @@ raidlab/fixtures and are addressable as presets.
 """
 
 import csv
+import functools
 import io
 import json
 import time
 from dataclasses import dataclass, field
 from importlib import resources
-
-import jsonschema
 
 from . import builders
 from .disk import DiskProfile, cheetah_15k5
@@ -185,10 +184,18 @@ SCENARIO_SCHEMA = {
 }
 
 
+@functools.cache
+def _validator():
+    # jsonschema loads only when a scenario is validated; the schema itself
+    # is checked by the test suite, not on every call
+    import jsonschema
+    return jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
+
+
 def validate_scenario(doc):
-    try:
-        jsonschema.validate(doc, SCENARIO_SCHEMA)
-    except jsonschema.ValidationError as err:
+    from jsonschema.exceptions import best_match
+    err = best_match(_validator().iter_errors(doc))
+    if err is not None:
         raise SchemaError("%s (at %s)" % (err.message,
                                           "/".join(str(p) for p in err.path)))
     return doc

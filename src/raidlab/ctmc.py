@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 
 @dataclass
@@ -253,6 +252,7 @@ def reliability_curve(chain, times, tol=1e-12):
 
 def mttf_by_quadrature(chain, tol=1e-8):
     """Integral of R(t) over [0, inf), for cross-checking the linear solve."""
+    from scipy import integrate
     total, _, _ = mean_time_to_absorption(chain)
     ab = chain.absorbing_index
 

@@ -8,7 +8,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .disk import MomentSet
 
@@ -120,6 +119,7 @@ def allocate_load(devices, total_rate, policy="mean-optimal", tol=1e-9):
     min-max equalizes response times over the fastest devices that are used.
     Rates returned in 1/s, summing to total_rate within tol.
     """
+    from scipy.optimize import brentq
     lam_total = total_rate / MS_PER_S
     capacity = sum(1.0 / d.m1 for d in devices)
     if lam_total >= capacity:

@@ -11,15 +11,17 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .disk import DiscreteDist
 
 
-def _streams(seed, n):
-    seq = np.random.SeedSequence(seed)
-    return [np.random.Generator(np.random.Philox(child))
-            for child in seq.spawn(n)]
+def _streams(seed, lo, hi):
+    """Generators of replications lo..hi-1.  Replication i draws from child i
+    of SeedSequence(seed), built on its own, so a slice costs only its own
+    streams."""
+    for i in range(lo, hi):
+        child = np.random.SeedSequence(seed, spawn_key=(i,))
+        yield np.random.Generator(np.random.Philox(child))
 
 
 def _rng(seed):
@@ -35,7 +37,8 @@ def confidence(samples, level=0.95):
     sd = float(samples.std(ddof=1))
     if sd == 0.0:
         return mean, 0.0
-    tq = stats.t.ppf(0.5 + level / 2.0, samples.size - 1)
+    from scipy.special import stdtrit  # Student-t quantile, as stats.t.ppf
+    tq = stdtrit(samples.size - 1, 0.5 + level / 2.0)
     return mean, float(tq * sd / math.sqrt(samples.size))
 
 
@@ -91,8 +94,7 @@ def _hraid_chunk(cfg, lo, hi):
     d_total = n * m
     times = np.empty(hi - lo)
     causes = np.empty(hi - lo, dtype=int)
-    streams = _streams(cfg.seed, cfg.replications)[lo:hi]
-    for rep, rng in enumerate(streams):
+    for rep, rng in enumerate(_streams(cfg.seed, lo, hi)):
         clock = 0.0
         ctrl_ok = np.ones(n, dtype=bool)
         disk_ok = np.ones((n, m), dtype=bool)
@@ -243,7 +245,7 @@ def sim_generic_mttdl(n, delta, mu, regime="angus", tolerance=None,
     if predicate is None:
         predicate = lambda failed: len(failed) > tolerance
     times = np.empty(reps)
-    for rep, rng in enumerate(_streams(seed, reps)):
+    for rep, rng in enumerate(_streams(seed, 0, reps)):
         t = 0.0
         failed = []
         failed_set = set()

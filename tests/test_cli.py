@@ -4,7 +4,9 @@ import subprocess
 import sys
 
 import pytest
+from jsonschema import Draft202012Validator
 
+import raidlab
 from raidlab.cli import main
 from raidlab.config import (Report, SCENARIO_SCHEMA, load_preset,
                             validate_scenario, SchemaError)
@@ -39,19 +41,76 @@ class TestConfigRoundTrip:
         assert again == doc
 
     def test_schema_rejects_unknown_keys(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError) as err:
             validate_scenario({"version": "1", "bogus": {}})
+        assert str(err.value) == \
+            "Additional properties are not allowed ('bogus' was unexpected) (at )"
 
     def test_schema_rejects_bad_types(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError) as err:
             validate_scenario({"version": "1",
                                "workload": {"arrival_rate": "fast"}})
+        assert str(err.value) == \
+            "'fast' is not of type 'number' (at workload/arrival_rate)"
+
+    def test_schema_reports_best_match_of_several_errors(self):
+        with pytest.raises(SchemaError) as err:
+            validate_scenario({"workload": {"arrival_rate": "fast",
+                                            "read_fraction": 2}})
+        assert str(err.value) == \
+            "2 is greater than the maximum of 1 (at workload/read_fraction)"
+
+    def test_schema_is_valid_draft_2020_12(self):
+        # validate_scenario trusts the schema; this is where it is checked
+        Draft202012Validator.check_schema(SCENARIO_SCHEMA)
 
     def test_published_schema_matches(self):
         here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         with open(os.path.join(here, "docs", "scenario.schema.json")) as fh:
             published = json.load(fh)
         assert published == SCENARIO_SCHEMA
+
+
+# Runs a CLI command in a fresh interpreter and prints which heavy modules
+# were loaded after `import raidlab.cli` and after the command.
+HEAVY_PROBE = """
+import json, sys
+HEAVY = ("scipy.stats", "scipy.optimize", "scipy.integrate", "jsonschema")
+def loaded():
+    return [m for m in HEAVY if m in sys.modules]
+from raidlab.cli import main
+after_import = loaded()
+code = main(sys.argv[1:])
+print(json.dumps([code, after_import, loaded()]))
+"""
+
+
+def heavy_modules(args, tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(raidlab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("RAIDLAB_SEED", None)
+    out = subprocess.run([sys.executable, "-c", HEAVY_PROBE] + args,
+                         cwd=tmp_path, env=env, capture_output=True,
+                         text=True, check=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+class TestImportHygiene:
+    def test_compare_shortcut_loads_no_heavy_module(self, tmp_path):
+        code, after_import, after_run = heavy_modules(
+            ["compare", "shortcut", "--N", "8", "--eps", "0.025",
+             "--out", "cmp"], tmp_path)
+        assert code == 0
+        assert after_import == []
+        assert after_run == []
+
+    def test_sim_reliability_skips_scipy_stats(self, tmp_path):
+        code, after_import, after_run = heavy_modules(
+            ["sim", "reliability", "--preset", "resch-row2", "--reps", "200",
+             "--seed", "1", "--out", "r2"], tmp_path)
+        assert code == 0
+        assert after_import == []
+        assert "scipy.stats" not in after_run
 
 
 class TestCommands:

@@ -383,6 +383,28 @@ class TestEnumeratorConsistency:
         assert t == n or loss[t + 1] < comb(n, t + 1)
 
 
+class TestDerivedCache:
+    @pytest.mark.parametrize("make,bits", [
+        (lambda: builders.rdp(5), 1),
+        (builders.was_lrc_6_2_2, 4),
+        (builders.pmds_fig, 8),
+    ], ids=["rdp5", "was_lrc", "pmds_fig"])
+    def test_cached_rows_and_columns_match_fresh(self, make, bits):
+        code = make()
+        assert code.field.w == bits
+        # a query first, so the cache is the one the enumerators filled
+        assert is_recoverable(code, [code.symbols[0]])
+        assert list(code._rows) == code.parity_rows()
+        for col in code.columns():
+            assert code.column_symbols(col) == \
+                [s for s, c in code.column_map.items() if c == col]
+        # the public accessors hand out copies the caller may change
+        code.parity_rows()[0].clear()
+        code.column_symbols(code.columns()[0]).clear()
+        assert list(code._rows) == code.parity_rows()
+        assert code.column_symbols(code.columns()[0])
+
+
 class TestSerialization:
     def test_round_trip_all_builders(self):
         for make in (lambda: builders.rdp(5), builders.was_lrc_6_2_2,

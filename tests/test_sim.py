@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from raidlab import builders
 from raidlab.ctmc import mean_time_to_absorption, build_ctmc
@@ -12,7 +13,7 @@ from raidlab.queueing import harmonic, mg1_wait, mg1_head_of_line_wait, \
 from raidlab.rebuild import vacation_stats, vsm_wait
 from raidlab.disk import Deterministic
 from raidlab.sim import (
-    SimConfig, confidence, sim_code_mttdl, sim_copyset_loss,
+    SimConfig, _streams, confidence, sim_code_mttdl, sim_copyset_loss,
     sim_generic_mttdl, sim_hraid_mttdl, sim_queue,
 )
 
@@ -43,6 +44,16 @@ class TestConfidence:
         with pytest.raises(ValueError):
             confidence([1.0])
 
+    def test_half_width_is_student_t_exactly(self):
+        rng = np.random.default_rng(12)
+        for n in (2, 3, 6, 30, 200, 10_000, 20_000):
+            samples = rng.exponential(1.0, n)
+            sd = float(samples.std(ddof=1))
+            for level in (0.5, 0.9, 0.95, 0.99, 0.99999):
+                want = float(stats.t.ppf(0.5 + level / 2.0, n - 1)
+                             * sd / math.sqrt(n))
+                assert confidence(samples, level)[1] == want
+
 
 class TestReplay:
     def test_bit_identical(self):
@@ -59,6 +70,26 @@ class TestReplay:
         cfg2 = SimConfig(nodes=2, disks_per_node=4, intra_tolerance=1,
                          delta=1e-5, replications=200, seed=2)
         assert sim_hraid_mttdl(cfg1).estimate != sim_hraid_mttdl(cfg2).estimate
+
+
+class TestStreams:
+    def test_slice_matches_spawned_children(self):
+        seed, n, lo, hi = 20240817, 40, 17, 23
+        children = np.random.SeedSequence(seed).spawn(n)[lo:hi]
+        for rng, child in zip(_streams(seed, lo, hi), children, strict=True):
+            ref = np.random.Philox(child)
+            assert np.array_equal(rng.bit_generator.seed_seq.generate_state(4),
+                                  child.generate_state(4))
+            assert np.array_equal(rng.bit_generator.random_raw(16),
+                                  ref.random_raw(16))
+
+    def test_worker_count_invisible(self):
+        cfg = SimConfig(nodes=2, disks_per_node=4, intra_tolerance=1,
+                        delta=1e-5, replications=201, seed=5)
+        a = sim_hraid_mttdl(cfg, jobs=1)
+        b = sim_hraid_mttdl(cfg, jobs=2)
+        assert (a.estimate, a.half_width, a.breakdown) == \
+            (b.estimate, b.half_width, b.breakdown)
 
 
 class TestHraid:
