@@ -5,10 +5,12 @@ balances after check computation); builders with free parameters validate
 them (primality, divisibility) and raise ValueError otherwise.
 """
 
+from dataclasses import replace
 from itertools import combinations
 
 from . import gf
-from .codes import CodeSpec, decode, encode, is_recoverable
+from .codes import (CodeSpec, find_lrc_coefficients, grid_compose,
+                    is_recoverable)
 
 
 def _is_prime(p):
@@ -31,11 +33,9 @@ def raid5(n):
     return CodeSpec(
         name="raid5(%d)" % n,
         field=gf.GF2,
-        n_symbols=n,
         data_ids=data,
         check_ids=("p",),
         equations=(("p", terms),),
-        column_map={s: i for i, s in enumerate(data + ("p",))},
     )
 
 
@@ -57,11 +57,9 @@ def raid4k(n, k, field=gf.GF256):
     code = CodeSpec(
         name="raid4k(%d,%d)" % (n, k),
         field=field,
-        n_symbols=n,
         data_ids=data,
         check_ids=checks,
         equations=tuple(equations),
-        column_map={s: i for i, s in enumerate(data + checks)},
     )
     if n <= 16:
         for pattern in combinations(code.symbols, k):
@@ -106,7 +104,6 @@ def rdp(p):
     return CodeSpec(
         name="rdp(%d)" % p,
         field=gf.GF2,
-        n_symbols=rows * (p + 1),
         data_ids=data,
         check_ids=rowpar + diagpar,
         equations=tuple(equations),
@@ -147,7 +144,6 @@ def xcode(n):
     return CodeSpec(
         name="xcode(%d)" % n,
         field=gf.GF2,
-        n_symbols=n * n,
         data_ids=data,
         check_ids=pchecks + qchecks,
         equations=tuple(equations),
@@ -163,28 +159,16 @@ def spc(n_data):
     return CodeSpec(
         name="spc(%d)" % n_data,
         field=gf.GF2,
-        n_symbols=n_data + 1,
         data_ids=data,
         check_ids=("v",),
         equations=(("v", terms),),
-        column_map={s: i for i, s in enumerate(data + ("v",))},
     )
 
 
 def hvpc(k1, k2):
     """Horizontal+vertical parity grid with the shared corner parity."""
-    from .codes import grid_compose
-    code = grid_compose(spc, spc, k1, k2)
-    return CodeSpec(
-        name="hvpc(%d,%d)" % (k1, k2),
-        field=code.field,
-        n_symbols=code.n_symbols,
-        data_ids=code.data_ids,
-        check_ids=code.check_ids,
-        equations=code.equations,
-        column_map=code.column_map,
-        row_map=code.row_map,
-    )
+    return replace(grid_compose(spc, spc, k1, k2),
+                   name="hvpc(%d,%d)" % (k1, k2))
 
 
 def rm2(n=7, m=3):
@@ -224,7 +208,6 @@ def rm2(n=7, m=3):
     return CodeSpec(
         name="rm2(7,3)",
         field=gf.GF2,
-        n_symbols=21,
         data_ids=tuple(data),
         check_ids=checks,
         equations=tuple(equations),
@@ -233,45 +216,42 @@ def rm2(n=7, m=3):
     )
 
 
-def _pyramid(groups, n_global, name):
-    """Data-LRC built from an MDS code by splitting its first parity into one
-    local parity per group.  Records the base view for two-phase decoding."""
+def _lrc(name, groups, local_ids, global_ids):
+    """Data-LRC over GF(256): one XOR local parity per data group, then
+    global parities sum_i alpha_i^(j+1) d_i over all data, alpha_i = g^i."""
     field = gf.GF256
-    data = []
-    for g in groups:
-        data.extend(g)
-    alphas = [field.exp[i] for i in range(len(data))]
-    locals_ = tuple("c1_%d" % (g + 1) for g in range(len(groups)))
-    globals_ = tuple("c%d" % (j + 2) for j in range(n_global))
+    data = tuple(d for g in groups for d in g)
     equations = []
     group_map = {}
-    for gi, g in enumerate(groups):
-        terms = tuple((d, 1) for d in g) + ((locals_[gi], 1),)
-        equations.append((locals_[gi], terms))
-        for d in g:
-            group_map[d] = gi
-        group_map[locals_[gi]] = gi
-    base_equations = [tuple((d, 1) for d in data) + (("p1", 1),)]
-    for j in range(n_global):
-        terms = tuple((data[i], field.pow(alphas[i], j + 1))
-                      for i in range(len(data)))
-        equations.append((globals_[j], terms + ((globals_[j], 1),)))
-        base_equations.append(terms + ((globals_[j], 1),))
-    syms = tuple(data) + locals_ + globals_
+    for gi, (g, local) in enumerate(zip(groups, local_ids)):
+        equations.append((local, tuple((d, 1) for d in g) + ((local, 1),)))
+        group_map.update(dict.fromkeys(tuple(g) + (local,), gi))
+    for j, glob in enumerate(global_ids):
+        terms = tuple((d, field.pow(field.exp[i], j + 1))
+                      for i, d in enumerate(data))
+        equations.append((glob, terms + ((glob, 1),)))
     return CodeSpec(
         name=name,
         field=field,
-        n_symbols=len(syms),
-        data_ids=tuple(data),
-        check_ids=locals_ + globals_,
+        data_ids=data,
+        check_ids=tuple(local_ids) + tuple(global_ids),
         equations=tuple(equations),
-        column_map={s: i for i, s in enumerate(syms)},
         group_map=group_map,
-        base_view={
-            "virtuals": {"p1": tuple((l, 1) for l in locals_)},
-            "equations": tuple(base_equations),
-        },
     )
+
+
+def _pyramid(groups, n_global, name):
+    """Data-LRC built from an MDS code by splitting its first parity into one
+    local parity per group.  Records the base view for two-phase decoding."""
+    locals_ = tuple("c1_%d" % (g + 1) for g in range(len(groups)))
+    globals_ = tuple("c%d" % (j + 2) for j in range(n_global))
+    code = _lrc(name, groups, locals_, globals_)
+    split = tuple((d, 1) for d in code.data_ids) + (("p1", 1),)
+    return replace(code, base_view={
+        "virtuals": {"p1": tuple((l, 1) for l in locals_)},
+        "equations": (split,) + tuple(
+            terms for _, terms in code.equations[len(groups):]),
+    })
 
 
 def pyramid_8_2_2():
@@ -296,34 +276,11 @@ def azure_lrc(n, k, r):
     n_global = n - k - n_local
     if n_global < 0:
         raise ValueError("parameters leave no room for global parities")
-    field = gf.GF256
     data = tuple("d%d" % i for i in range(k))
-    alphas = [field.exp[i] for i in range(k)]
-    locals_ = tuple("l%d" % g for g in range(n_local))
-    globals_ = tuple("g%d" % j for j in range(n_global))
-    equations = []
-    group_map = {}
-    for g in range(n_local):
-        members = data[g * r:(g + 1) * r]
-        terms = tuple((d, 1) for d in members) + ((locals_[g], 1),)
-        equations.append((locals_[g], terms))
-        for d in members:
-            group_map[d] = g
-        group_map[locals_[g]] = g
-    for j in range(n_global):
-        terms = tuple((data[i], field.pow(alphas[i], j + 1)) for i in range(k))
-        equations.append((globals_[j], terms + ((globals_[j], 1),)))
-    syms = data + locals_ + globals_
-    return CodeSpec(
-        name="azure_lrc(%d,%d,%d)" % (n, k, r),
-        field=field,
-        n_symbols=n,
-        data_ids=data,
-        check_ids=locals_ + globals_,
-        equations=tuple(equations),
-        column_map={s: i for i, s in enumerate(syms)},
-        group_map=group_map,
-    )
+    return _lrc("azure_lrc(%d,%d,%d)" % (n, k, r),
+                [data[g * r:(g + 1) * r] for g in range(n_local)],
+                ["l%d" % g for g in range(n_local)],
+                ["g%d" % j for j in range(n_global)])
 
 
 def xorbas_16_10_5():
@@ -346,7 +303,6 @@ def xorbas_16_10_5():
     equations.append(("s1", s1_terms))
     equations.append(("s2", s2_terms))
     implied = (("s1", 1), ("s2", 1)) + tuple((p, 1) for p in parities)
-    syms = data + parities + ("s1", "s2")
     group_map = {}
     for i, d in enumerate(data):
         group_map[d] = 0 if i < 5 else 1
@@ -357,12 +313,10 @@ def xorbas_16_10_5():
     return CodeSpec(
         name="xorbas(16,10,5)",
         field=field,
-        n_symbols=16,
         data_ids=data,
         check_ids=parities + ("s1", "s2"),
         equations=tuple(equations),
         extra_equations=(implied,),
-        column_map={s: i for i, s in enumerate(syms)},
         group_map=group_map,
     )
 
@@ -374,7 +328,6 @@ def was_lrc_6_2_2(coefficients=None):
     families, which makes every information-theoretically decodable 4-failure
     pattern decodable.
     """
-    from .codes import find_lrc_coefficients
     field = gf.GF16
     if coefficients is None:
         alphas, betas = find_lrc_coefficients(field)
@@ -397,7 +350,6 @@ def was_lrc_6_2_2(coefficients=None):
     return CodeSpec(
         name="was_lrc(6,2,2)",
         field=field,
-        n_symbols=10,
         data_ids=xs + ys,
         check_ids=("px", "py", "p0", "p1"),
         equations=tuple(equations),
@@ -453,11 +405,9 @@ def pmds_fig(variant="pmds"):
             members += ["g1", "g2"]
         terms = tuple((s, 1) for s in members) + (("p%d" % i, 1),)
         equations.append(("p%d" % i, terms))
-    syms = tuple(data) + ("g1", "g2", "p0", "p1", "p2", "p3")
     return CodeSpec(
         name="pmds_fig(%s)" % variant,
         field=field,
-        n_symbols=28,
         data_ids=tuple(data),
         check_ids=("g1", "g2", "p0", "p1", "p2", "p3"),
         equations=tuple(equations),
@@ -481,7 +431,6 @@ def lsi(n=8):
     return CodeSpec(
         name="lsi(8)",
         field=gf.GF2,
-        n_symbols=8,
         data_ids=data,
         check_ids=checks,
         equations=tuple(equations),
@@ -499,15 +448,12 @@ def sspiral(n=8):
     for i, c in enumerate(checks):
         members = [data[(i + k) % 4] for k in range(3)]
         equations.append((c, tuple((m, 1) for m in members) + ((c, 1),)))
-    syms = data + checks
     return CodeSpec(
         name="sspiral(8)",
         field=gf.GF2,
-        n_symbols=8,
         data_ids=data,
         check_ids=checks,
         equations=tuple(equations),
-        column_map={s: i for i, s in enumerate(syms)},
     )
 
 
@@ -526,7 +472,6 @@ def mds42():
     return CodeSpec(
         name="mds42",
         field=gf.GF2,
-        n_symbols=8,
         data_ids=data,
         check_ids=checks,
         equations=equations,
@@ -563,7 +508,6 @@ def resar_small():
     return CodeSpec(
         name="resar_small",
         field=gf.GF2,
-        n_symbols=len(data) + 20,
         data_ids=data,
         check_ids=prow + pdiag,
         equations=tuple(equations),
@@ -588,15 +532,12 @@ def parity2d():
     for g in range(1, 6):
         terms = tuple((d, 1) for d in sorted(groups[g])) + (("P%d" % g, 1),)
         equations.append(("P%d" % g, terms))
-    syms = data + checks
     return CodeSpec(
         name="parity2d",
         field=gf.GF2,
-        n_symbols=15,
         data_ids=data,
         check_ids=checks,
         equations=tuple(equations),
-        column_map={s: i for i, s in enumerate(syms)},
     )
 
 
@@ -612,15 +553,12 @@ def parity3d():
     checks = tuple(p for p, _ in members)
     equations = [(p, tuple((d, 1) for d in ds) + ((p, 1),))
                  for p, ds in members]
-    syms = data + checks
     return CodeSpec(
         name="parity3d",
         field=gf.GF2,
-        n_symbols=15,
         data_ids=data,
         check_ids=checks,
         equations=tuple(equations),
-        column_map={s: i for i, s in enumerate(syms)},
     )
 
 
@@ -641,7 +579,6 @@ def xcode_with_spc(p):
     return CodeSpec(
         name="xcode_spc(%d)" % p,
         field=gf.GF2,
-        n_symbols=base.n_symbols + p,
         data_ids=base.data_ids,
         check_ids=tuple(checks),
         equations=tuple(equations),
@@ -716,7 +653,6 @@ def mirrored_org(org, n, clusters=2):
     return CodeSpec(
         name="%s(%d)" % (org, n),
         field=gf.GF2,
-        n_symbols=len(data) + len(checks),
         data_ids=tuple(data),
         check_ids=tuple(checks),
         equations=tuple(equations),

@@ -53,15 +53,24 @@ def _lse_from_config(cfg):
         raise DomainError(str(err))
 
 
+def _need(cfg, key, where):
+    """cfg[key]; a key the schema allows to be missing is a domain error
+    that names it."""
+    try:
+        return cfg[key]
+    except KeyError:
+        raise DomainError("%s needs %r" % (where, key)) from None
+
+
 def _params_from_config(cfg):
     try:
         return ReliabilityParams(
-            disks=cfg["disks"],
-            delta=1.0 / cfg["mttf_hours"],
+            disks=_need(cfg, "disks", "reliability"),
+            delta=1.0 / _need(cfg, "mttf_hours", "reliability"),
             mu=(1.0 / cfg["mttr_hours"]) if cfg.get("mttr_hours") else 0.0,
             group=cfg.get("group"),
         )
-    except (KeyError, TypeError, ValueError) as err:
+    except (TypeError, ValueError) as err:
         raise DomainError(str(err))
 
 
@@ -75,7 +84,8 @@ def cmd_analyze(args):
                     seed=_seed(args, scenario))
     if args.what == "queueing":
         profile = profile_from_config(scenario.get("profile"))
-        workload = workload_from_config(scenario["workload"])
+        workload = workload_from_config(_need(scenario, "workload",
+                                              "scenario"))
         svc = diskmod.service_time_moments(profile, workload.request_sectors)
         report.add("service_mean", svc.m1, "ms", provenance="seek+latency+transfer")
         report.add("service_cv2", svc.cv2, "", provenance="moments")
@@ -89,7 +99,8 @@ def cmd_analyze(args):
                    provenance="response-moments")
     elif args.what == "rebuild":
         profile = profile_from_config(scenario.get("profile"))
-        workload = workload_from_config(scenario["workload"])
+        workload = workload_from_config(_need(scenario, "workload",
+                                              "scenario"))
         cfg = rbmod.RebuildConfig(**scenario.get("rebuild", {}))
         t_staged = rbmod.rebuild_time_vsm(profile, workload, cfg)
         report.add("rebuild_time_staged", t_staged / 3.6e6, "hours",
@@ -106,7 +117,7 @@ def cmd_analyze(args):
                                             workload.read_fraction)
         report.add("degraded_load_increase", incr, "")
     elif args.what == "mttdl":
-        rcfg = scenario["reliability"]
+        rcfg = _need(scenario, "reliability", "scenario")
         model = rcfg.get("model", "raid5")
         if model == "raid5":
             params = _params_from_config(rcfg)
@@ -116,17 +127,17 @@ def cmd_analyze(args):
             total, _, _ = ctmcmod.mean_time_to_absorption(chain)
             report.add("mttdl_ctmc", total, "hours", provenance="ctmc-solve")
         elif model in ("chen", "angus"):
-            n = rcfg["disks"]
-            k = rcfg["data"]
-            mttf = rcfg["mttf_hours"]
-            mttr = rcfg.get("mttr_hours", 1.0)
-            val = rel.mttdl_closed_form(model, n=n, k=k, mttf=mttf, mttr=mttr)
+            val = rel.mttdl_closed_form(
+                model, n=_need(rcfg, "disks", "reliability"),
+                k=_need(rcfg, "data", "reliability"),
+                mttf=_need(rcfg, "mttf_hours", "reliability"),
+                mttr=rcfg.get("mttr_hours", 1.0))
             report.add("mttdl", val, "hours", provenance=model)
         else:
             raise DomainError("unknown mttdl model %r" % (model,))
     elif args.what == "lse":
-        rcfg = scenario["reliability"]
-        lse = _lse_from_config(rcfg["lse"])
+        rcfg = _need(scenario, "reliability", "scenario")
+        lse = _lse_from_config(_need(rcfg, "lse", "reliability"))
         params = _params_from_config(rcfg)
         scheme = rcfg.get("scheme", "none")
         error_model = rcfg.get("error_model", "independent")
@@ -138,7 +149,8 @@ def cmd_analyze(args):
                                                error_model),
                    "hours", provenance="lse-closed-form")
     elif args.what == "placement":
-        pcfg = scenario["reliability"]["placement"]
+        pcfg = _need(_need(scenario, "reliability", "scenario"), "placement",
+                     "reliability")
         try:
             params = PlacementParams(**pcfg)
         except (TypeError, ValueError) as err:
@@ -334,14 +346,17 @@ def cmd_sim(args):
             return report
         if kind == "generic":
             rep = simmod.sim_generic_mttdl(
-                n=scfg["components"], delta=scfg["delta"], mu=scfg.get("mu", 0),
+                n=_need(scfg, "components", "sim"),
+                delta=_need(scfg, "delta", "sim"), mu=scfg.get("mu", 0),
                 regime=scfg.get("regime", "angus"),
                 tolerance=scfg.get("tolerance"),
                 reps=scfg.get("replications", 10_000), seed=seed,
                 level=scfg.get("level", 0.95))
         elif kind == "hraid":
-            cfg = simmod.SimConfig(**{k: v for k, v in scfg.items()
-                                      if k != "kind"})
+            try:
+                cfg = simmod.SimConfig(**scfg)
+            except TypeError as err:  # a key of another sim kind
+                raise DomainError("hraid sim: %s" % err)
             rep = simmod.sim_hraid_mttdl(cfg, jobs=args.jobs)
             for cause, frac in rep.breakdown.items():
                 report.add("loss_fraction[%s]" % cause, frac, "",

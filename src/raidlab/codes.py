@@ -31,12 +31,12 @@ class CodeSpec:
 
     name: str
     field: gf.Field
-    n_symbols: int
     data_ids: tuple
     check_ids: tuple
     # equations: tuple of (check_id, ((symbol_id, coeff), ...)); terms sum to 0
     equations: tuple
-    column_map: dict
+    # symbol -> column; omitted, every symbol gets its own column in order
+    column_map: dict = None
     row_map: dict = None
     group_map: dict = None
     # dependent identities (implied parities) usable for decode/repair but not
@@ -59,6 +59,8 @@ class CodeSpec:
             for s, c in terms:
                 if c == 0:
                     raise ValueError("zero coefficient on %r" % (s,))
+        if self.column_map is None:
+            self.column_map = {s: i for i, s in enumerate(self.symbols)}
         if set(self.column_map) != set(self.data_ids) | set(self.check_ids):
             raise ValueError("column_map must cover every symbol")
 
@@ -72,7 +74,7 @@ class CodeSpec:
 
     @property
     def n(self):
-        return self.n_symbols
+        return len(self.data_ids) + len(self.check_ids)
 
     def columns(self):
         return sorted(set(self.column_map.values()), key=str)
@@ -102,6 +104,12 @@ class CodeSpec:
     @cached_property
     def _symbol_set(self):
         return frozenset(self.symbols)
+
+    @cached_property
+    def _base_rows(self):
+        """Base-view equations as dict rows, and the symbols they touch."""
+        rows = tuple(dict(eq) for eq in self.base_view["equations"])
+        return rows, frozenset().union(*rows)
 
 
 def _expand(code, pattern, granularity):
@@ -162,10 +170,9 @@ def _base_view_recoverable(code, erased):
     parities) count as erased while any of their constituents is erased; when
     the base system determines all its unknowns, everything else peels.
     """
-    bv = code.base_view
+    virtuals = code.base_view["virtuals"]
     rows = code._rows
-    base_rows = [dict(eq) for eq in bv["equations"]]
-    stored = set().union(*base_rows)
+    base_rows, stored = code._base_rows
     erased = set(erased)
     while True:
         # phase 1: peel own equations (local repairs)
@@ -173,7 +180,7 @@ def _base_view_recoverable(code, erased):
         if not erased:
             return True
         # phase 2: joint solve on the base view with virtual symbols
-        base_erased = {vid for vid, parts in bv["virtuals"].items()
+        base_erased = {vid for vid, parts in virtuals.items()
                        if any(s in erased for s, _ in parts)}
         base_erased |= erased & stored
         # base decode recovers its own symbols; drop them and re-peel
@@ -384,7 +391,7 @@ def repair_metrics(code, budget=DEFAULT_BUDGET):
     for s in code.symbols:
         plan = repair_plan(code, [s])
         costs[s] = plan.symbols_read
-    n = code.n_symbols
+    n = code.n
     k = code.k
     arc = sum(costs.values()) / n
     adrc = sum(costs[s] for s in code.data_ids) / k
@@ -428,35 +435,15 @@ def encode(code, data_values, rng=None):
     if data_values is None:
         data_values = {s: rng.integers(0, code.field.order)
                        for s in code.data_ids}
+    # every symbol without a value is an unknown: the checks, and any data
+    # left out, which leaves the system underdetermined
+    unknown = sorted(code._symbol_set - data_values.keys(), key=str)
+    mat, rhs = _system(code.field, code.equations, unknown, data_values)
+    sol = gf.solve(code.field, mat, [rhs])
+    if sol is None:
+        raise ValueError("encode system does not determine the checks")
     values = dict(data_values)
-    pending = list(code.equations)
-    # iterative substitution handles chained checks (diagonal over row parity)
-    progress = True
-    while pending and progress:
-        progress = False
-        rest = []
-        for cid, terms in pending:
-            unknown = [(s, c) for s, c in terms if s not in values]
-            if len(unknown) == 1:
-                s, c = unknown[0]
-                acc = 0
-                for t, ct in terms:
-                    if t != s:
-                        acc ^= code.field.mul(ct, values[t])
-                values[s] = code.field.mul(code.field.inv(c), acc)
-                progress = True
-            else:
-                rest.append((cid, terms))
-        pending = rest
-    if pending:
-        # fall back to a joint solve for the remaining checks
-        unknown = sorted({s for _, terms in pending for s, _ in terms
-                          if s not in values}, key=str)
-        mat, rhs = _system(code.field, pending, unknown, values)
-        sol = gf.solve(code.field, mat, [rhs])
-        if sol is None:
-            raise ValueError("encode system does not determine the checks")
-        values.update(zip(unknown, sol[0]))
+    values.update(zip(unknown, sol[0]))
     return values
 
 
@@ -544,7 +531,6 @@ def grid_compose(row_factory, col_factory, k1, k2):
     return CodeSpec(
         name="grid(%s,%s,%dx%d)" % (row_proto.name, col_proto.name, k1, k2),
         field=row_proto.field,
-        n_symbols=len(data) + len(checks),
         data_ids=tuple(data),
         check_ids=tuple(checks),
         equations=tuple(equations),
@@ -635,7 +621,6 @@ def from_json(doc):
     return CodeSpec(
         name=doc.get("name", "inline"),
         field=field,
-        n_symbols=len(data_ids) + len(check_ids),
         data_ids=data_ids,
         check_ids=check_ids,
         equations=equations,

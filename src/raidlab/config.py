@@ -2,7 +2,8 @@
 
 One self-describing JSON schema covers everything the command line runs:
 disk profiles, workloads, code references, layouts, reliability parameters,
-simulation settings and output requests.  Fixtures ship as data files under
+simulation settings and output requests.  The schema ships as
+raidlab/scenario.schema.json; fixtures ship as data files under
 raidlab/fixtures and are addressable as presets.
 """
 
@@ -30,158 +31,9 @@ class DomainError(Exception):
     """Configuration is schema-valid but violates a model domain (exit 3)."""
 
 
-SCENARIO_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "title": "raidlab scenario",
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "version": {"type": "string"},
-        "profile": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "preset": {"type": "string"},
-                "cylinders": {"type": "integer", "minimum": 1},
-                "rotation_time_ms": {"type": "number", "exclusiveMinimum": 0},
-                "seek_char": {"type": "array", "items": {"type": "number"},
-                              "minItems": 2, "maxItems": 3},
-                "zones": {"type": "array",
-                          "items": {"type": "array",
-                                    "items": {"type": "integer"},
-                                    "minItems": 2, "maxItems": 2}},
-                "sector_size": {"type": "integer", "minimum": 1},
-                "total_sectors": {"type": "integer", "minimum": 1},
-                "no_move_prob": {"type": "number", "minimum": 0, "maximum": 1},
-                "iops_rating": {"type": "number", "exclusiveMinimum": 0},
-                "media_rate": {"type": "number", "exclusiveMinimum": 0},
-                "name": {"type": "string"},
-            },
-        },
-        "workload": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "arrival_rate": {"type": "number", "minimum": 0},
-                "read_fraction": {"type": "number", "minimum": 0, "maximum": 1},
-                "request_sectors": {"type": "integer", "minimum": 1},
-            },
-            "required": ["arrival_rate"],
-        },
-        "code": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "builder": {"type": "string"},
-                "params": {"type": "object"},
-                "inline": {"type": "object"},
-                "granularity": {"enum": ["symbol", "column"]},
-                "erasures": {},
-            },
-        },
-        "layout": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"enum": ["bibd-10-4", "nrp", "shifted"]},
-                "disks": {"type": "integer", "minimum": 2},
-                "group": {"type": "integer", "minimum": 2},
-                "rows": {"type": "integer", "minimum": 1},
-                "seed": {"type": "integer"},
-            },
-            "required": ["kind"],
-        },
-        "reliability": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "model": {"type": "string"},
-                "disks": {"type": "integer", "minimum": 2},
-                "data": {"type": "integer", "minimum": 1},
-                "mttf_hours": {"type": "number", "exclusiveMinimum": 0},
-                "mttr_hours": {"type": "number", "minimum": 0},
-                "group": {"type": "integer"},
-                "lse": {"type": "object"},
-                "scheme": {"enum": ["none", "spc", "ipc", "rs"]},
-                "error_model": {"enum": ["independent", "correlated"]},
-                "placement": {"type": "object"},
-            },
-        },
-        "copyset": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "nodes": {"type": "integer", "minimum": 2},
-                "replication": {"type": "integer", "minimum": 2},
-                "scatter_width": {"type": "integer", "minimum": 1},
-                "scheme": {"enum": ["random", "copyset"]},
-                "fail_count": {"type": "integer", "minimum": 0},
-                "fail_fraction": {"type": "number", "minimum": 0,
-                                  "maximum": 1},
-            },
-            "required": ["nodes", "replication", "scatter_width"],
-        },
-        "ctmc": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "transitions": {
-                    "type": "array",
-                    "items": {"type": "array", "minItems": 3, "maxItems": 3},
-                },
-                "absorbing": {"type": "array"},
-                "initial": {"type": "object"},
-                "times": {"type": "array", "items": {"type": "number"}},
-            },
-            "required": ["transitions", "absorbing"],
-        },
-        "sim": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"enum": ["hraid", "generic", "copyset", "queue",
-                                  "resch-table"]},
-                "nodes": {"type": "integer", "minimum": 1},
-                "disks_per_node": {"type": "integer", "minimum": 1},
-                "inter_tolerance": {"type": "integer", "minimum": 0},
-                "intra_tolerance": {"type": "integer", "minimum": 0},
-                "delta": {"type": "number", "minimum": 0},
-                "gamma": {"type": "number", "minimum": 0},
-                "mu": {"type": "number", "minimum": 0},
-                "components": {"type": "integer", "minimum": 1},
-                "tolerance": {"type": "integer", "minimum": 0},
-                "regime": {"enum": ["chen", "angus"]},
-                "replications": {"type": "integer", "minimum": 1},
-                "seed": {"type": "integer"},
-                "level": {"type": "number", "exclusiveMinimum": 0,
-                          "exclusiveMaximum": 1},
-                "model": {"type": "string"},
-                "params": {"type": "object"},
-            },
-        },
-        "rebuild": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "tracks": {"type": "integer", "minimum": 1},
-                "ru_fraction": {"type": "number", "exclusiveMinimum": 0},
-                "utilized_fraction": {"type": "number",
-                                      "exclusiveMinimum": 0, "maximum": 1},
-                "stages": {"type": "integer", "minimum": 1},
-                "beta": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "output": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "format": {"type": "array",
-                           "items": {"enum": ["json", "csv", "tsv"]}},
-                "path": {"type": "string"},
-            },
-        },
-    },
-}
+# the one copy of the schema ships as package data, like the presets
+SCENARIO_SCHEMA = json.loads(
+    resources.files("raidlab").joinpath("scenario.schema.json").read_text())
 
 
 @functools.cache

@@ -64,12 +64,6 @@ class TestConfigRoundTrip:
         # validate_scenario trusts the schema; this is where it is checked
         Draft202012Validator.check_schema(SCENARIO_SCHEMA)
 
-    def test_published_schema_matches(self):
-        here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        with open(os.path.join(here, "docs", "scenario.schema.json")) as fh:
-            published = json.load(fh)
-        assert published == SCENARIO_SCHEMA
-
 
 # Runs a CLI command in a fresh interpreter and prints which heavy modules
 # were loaded after `import raidlab.cli` and after the command.
@@ -215,6 +209,25 @@ class TestReplayAndExitCodes:
     def test_unknown_preset_exit_3(self, tmp_path):
         code = run_cli(["analyze", "queueing", "--preset", "nope"], tmp_path)
         assert code == 3
+
+    @pytest.mark.parametrize("command,doc,key", [
+        ("sim reliability", {"sim": {"kind": "hraid", "regime": "angus",
+                                     "replications": 10}}, "regime"),
+        ("sim reliability", {"sim": {"kind": "generic", "delta": 0.001,
+                                     "tolerance": 1}}, "components"),
+        ("analyze mttdl", {"reliability": {"model": "chen", "disks": 8,
+                                           "mttf_hours": 1000}}, "data"),
+    ], ids=["hraid-extra-key", "generic-missing-key", "chen-missing-key"])
+    def test_schema_valid_key_mismatch_exit_3(self, tmp_path, capsys,
+                                              command, doc, key):
+        validate_scenario(doc)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code = run_cli(command.split() + ["--config", str(cfg)], tmp_path)
+        assert code == 3
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "domain"
+        assert key in err["detail"]
 
 
 class TestReportType:

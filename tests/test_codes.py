@@ -87,6 +87,10 @@ class TestRecoverability:
         c = builders.was_lrc_6_2_2()
         roundtrip(c, ["x0", "y1", "p0"])
 
+    def test_encode_without_all_data_is_undetermined(self):
+        with pytest.raises(ValueError, match="does not determine the checks"):
+            encode(builders.raid5(4), {"d1": 1, "d2": 0})
+
     def test_xcode_each_block_two_diagonals(self):
         c = builders.xcode(7)
         for d in c.data_ids:
@@ -189,7 +193,7 @@ class TestClassification:
     def test_mds_columns_with_s0(self):
         c = builders.raid4k(6, 2)
         c2 = codes.CodeSpec(
-            name=c.name, field=c.field, n_symbols=c.n_symbols,
+            name=c.name, field=c.field,
             data_ids=c.data_ids, check_ids=c.check_ids, equations=c.equations,
             column_map=c.column_map, row_map={s: 0 for s in c.symbols})
         assert classify_array_code(c2, n=6, m=2, r=1, s=0) == "PMDS"
@@ -316,7 +320,7 @@ class TestGrid:
     def test_grid_compose_generic(self):
         from raidlab.builders import spc
         c = grid_compose(spc, spc, 3, 5)
-        assert c.n_symbols == 4 * 6
+        assert c.n == 4 * 6
         assert erasure_tolerance(c) == 3
 
 
@@ -404,21 +408,41 @@ class TestDerivedCache:
         assert list(code._rows) == code.parity_rows()
         assert code.column_symbols(code.columns()[0])
 
+    def test_cached_base_rows_match_base_view(self):
+        code = builders.pyramid_8_2_2()
+        rows, stored = code._base_rows
+        assert list(rows) == [dict(eq) for eq in code.base_view["equations"]]
+        assert stored == set().union(*rows)
+        assert code._base_rows is code._base_rows
+
+
+SMALL_PARAMS = {
+    "raid4k": dict(n=6, k=2), "rdp": dict(p=5), "xcode": dict(n=5),
+    "hvpc": dict(k1=2, k2=3), "azure_lrc": dict(n=10, k=6, r=3),
+    "xcode_with_spc": dict(p=5), "mirrored_org": dict(org="cd", n=5),
+    "raid5": dict(n=4),
+}
+
 
 class TestSerialization:
     def test_round_trip_all_builders(self):
-        for make in (lambda: builders.rdp(5), builders.was_lrc_6_2_2,
-                     lambda: builders.azure_lrc(10, 6, 3),
-                     builders.xorbas_16_10_5):
-            code = make()
+        for name in builders.BUILDERS:
+            code = builders.build_code(name, **SMALL_PARAMS.get(name, {}))
+            assert code.n == len(code.symbols)
             doc = codes.to_json(code)
             back = codes.from_json(json.loads(json.dumps(doc)))
-            assert back.n_symbols == code.n_symbols
-            assert set(back.symbols) == set(code.symbols)
+            assert back.n == code.n
+            assert back.symbols == code.symbols
+            assert back.column_map == code.column_map
             # identical recoverability behaviour on a pattern sample
             for pattern in combinations(sorted(code.symbols, key=str)[:6], 3):
                 assert codes.is_recoverable(back, pattern) == \
                     codes.is_recoverable(code, pattern)
+
+    def test_default_column_map_is_one_column_per_symbol(self):
+        code = builders.raid5(4)
+        assert code.column_map == {"d1": 0, "d2": 1, "d3": 2, "p": 3}
+        assert code.columns() == [0, 1, 2, 3]
 
     def test_serialized_metrics_match(self):
         code = builders.azure_lrc(10, 6, 3)

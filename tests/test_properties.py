@@ -70,6 +70,9 @@ CODES = {
     "was": builders.was_lrc_6_2_2,
     "azure": lambda: builders.azure_lrc(10, 6, 3),
     "sspiral": builders.sspiral,
+    "pmds": builders.pmds_fig,
+    "pyramid": builders.pyramid_8_2_2,
+    "hvpc": lambda: builders.hvpc(2, 2),
 }
 
 
