@@ -35,10 +35,11 @@ for t in (1e3, 1e5, closed):
     print("t = %9.3g h   still alive %.6f" % (t, 1 - pi[-1]))
 
 # %% The truncated power series agrees on short horizons and reports its
-# own truncation bound.
+# own truncation bound; round-off is not in that bound and can exceed it.
 series, bound = transient_series(chain, 50.0, 40)
 uni = transient_uniformization(chain, 50.0)
-print("series vs uniformization at t=50: max diff %.2e (bound %.2e)"
+print("series vs uniformization at t=50: max diff %.2e "
+      "(truncation bound %.2e)"
       % (np.abs(series - uni).max(), bound))
 
 # %% Quadrature of the reliability curve closes the loop.

@@ -6,11 +6,10 @@ them (primality, divisibility) and raise ValueError otherwise.
 """
 
 from dataclasses import replace
-from itertools import combinations
 
 from . import gf
 from .codes import (CodeSpec, find_lrc_coefficients, grid_compose,
-                    is_recoverable)
+                    recoverable_fraction)
 
 
 def _is_prime(p):
@@ -61,10 +60,8 @@ def raid4k(n, k, field=gf.GF256):
         check_ids=checks,
         equations=tuple(equations),
     )
-    if n <= 16:
-        for pattern in combinations(code.symbols, k):
-            if not is_recoverable(code, pattern):
-                raise ValueError("generator is not MDS for n=%d k=%d" % (n, k))
+    if n <= 16 and recoverable_fraction(code, k)[1] != 1:
+        raise ValueError("generator is not MDS for n=%d k=%d" % (n, k))
     return code
 
 

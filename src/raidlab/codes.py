@@ -4,17 +4,27 @@ A code is a set of symbols (data + checks) and a list of equations, each of
 which field-sums to zero over the stored symbols.  Recoverability of an
 erasure pattern is a rank question on the equation matrix restricted to the
 erased columns.
+
+Each CodeSpec compiles its uint8 parity-check matrix `_H` once; the field
+tables live on `gf.Field`.  Enumerations decide BLOCK patterns per call of
+the batched `gf.eliminate`; a single pattern is peeled first and goes
+through the same kernel as a batch of one.
 """
 
 import math
-from dataclasses import dataclass, field as dc_field
+import operator
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, islice, product
+
+import numpy as np
 
 from . import gf
 
 DEFAULT_BUDGET = 5_000_000  # rank tests per enumeration call, overridable
+# patterns decided per kernel call: bounds the working set of an enumeration
+BLOCK = 256
 
 
 class BudgetExceeded(Exception):
@@ -106,6 +116,17 @@ class CodeSpec:
         return frozenset(self.symbols)
 
     @cached_property
+    def _index(self):
+        return {s: i for i, s in enumerate(self.symbols)}
+
+    @cached_property
+    def _H(self):
+        """A row per equation (extra equations last), a column per symbol."""
+        return np.array([[r.get(s, 0) for s in self.symbols]
+                         for r in self._rows],
+                        dtype=np.uint8).reshape(len(self._rows), self.n)
+
+    @cached_property
     def _base_rows(self):
         """Base-view equations as dict rows, and the symbols they touch."""
         rows = tuple(dict(eq) for eq in self.base_view["equations"])
@@ -145,6 +166,13 @@ def _restrict(rows, cols):
             if not r.keys().isdisjoint(cols)]
 
 
+def _determined(field, rows, cols):
+    """True iff the dict `rows` restricted to `cols` have full column rank
+    (which fewer rows touching `cols` than columns cannot have)."""
+    m = _restrict(rows, cols)
+    return len(m) >= len(cols) and gf.rank(field, m) == len(cols)
+
+
 def _solvable(field, rows, erased):
     """True iff `erased` symbols are determined by the equations `rows`.
 
@@ -152,7 +180,7 @@ def _solvable(field, rows, erased):
     most local repairs resolve), then falls back to a joint rank test.
     """
     erased = _peel(rows, erased)
-    return not erased or gf.rank(field, _restrict(rows, erased)) == len(erased)
+    return not erased or _determined(field, rows, erased)
 
 
 def is_recoverable(code, erasures, granularity="symbol"):
@@ -185,19 +213,35 @@ def _base_view_recoverable(code, erased):
         base_erased |= erased & stored
         # base decode recovers its own symbols; drop them and re-peel
         recovered = base_erased & erased
-        if not base_erased or gf.rank(code.field, _restrict(
-                base_rows, base_erased)) < len(base_erased) or not recovered:
+        if not base_erased or not recovered or \
+                not _determined(code.field, base_rows, base_erased):
             return False
         erased -= recovered
+
+
+def _verdicts(code, patterns):
+    """Recoverability of the patterns, tuples of erased symbol indices, as a
+    list of bools per BLOCK of them: full column rank of `_H` on each."""
+    patterns = iter(patterns)
+    while block := list(islice(patterns, BLOCK)):
+        sizes = list(map(len, block))
+        width = max(sizes)
+        if min(sizes) < width:  # a repeated column leaves the rank as it is
+            block = [p + p[:1] * (width - len(p)) for p in block]
+        idx = np.fromiter(chain.from_iterable(block), np.intp)
+        m = code._H[:, idx.reshape(len(block), width).T]
+        ranks = gf.eliminate(code.field, m, width)
+        yield list(map(operator.eq, ranks.tolist(), sizes))
 
 
 def _walk(code, granularity, budget, decoder="joint", size=None):
     """Verdicts on the erasure patterns of `size` units, or of every size
     from 1 up when size is None: yields (size, total, verdicts) per size.
 
-    verdicts decides the size's patterns lazily, in combinations order, and
-    is charged to the rank-test budget when first read, so a size that the
-    caller skips or abandons costs nothing.
+    verdicts yields the size's verdicts lazily, as lists of bools over
+    blocks of patterns in combinations order, and is charged to the rank-test
+    budget when first read, so a size that the caller skips or abandons
+    costs nothing.
     """
     if granularity not in ("symbol", "column"):
         raise ValueError("granularity must be 'symbol' or 'column'")
@@ -206,7 +250,8 @@ def _walk(code, granularity, budget, decoder="joint", size=None):
     if decoder == "local-global" and not code.base_view:
         raise ValueError("code %s has no base view" % code.name)
     units = code.columns() if granularity == "column" else list(code.symbols)
-    rows = code._rows
+    parts = [tuple(code._index[s] for s in _expand(code, [u], granularity))
+             for u in units]
     spent = 0
 
     def verdicts(f):
@@ -215,12 +260,14 @@ def _walk(code, granularity, budget, decoder="joint", size=None):
         if spent > budget:
             raise BudgetExceeded("%d patterns exceed the budget of %d"
                                  % (spent, budget))
-        for p in combinations(units, f):
-            erased = _expand(code, p, granularity)
-            if decoder == "joint":
-                yield _solvable(code.field, rows, erased)
-            else:
-                yield _base_view_recoverable(code, erased)
+        if decoder == "joint":
+            yield from _verdicts(code, (sum(p, ())
+                                        for p in combinations(parts, f)))
+        else:
+            patterns = combinations(units, f)
+            while block := list(islice(patterns, BLOCK)):
+                yield [_base_view_recoverable(
+                    code, _expand(code, p, granularity)) for p in block]
 
     for f in range(1, len(units) + 1) if size is None else (size,):
         yield f, math.comb(len(units), f), verdicts(f)
@@ -230,7 +277,7 @@ def erasure_tolerance(code, granularity="symbol", budget=DEFAULT_BUDGET):
     """Largest t such that every erasure pattern of size t is recoverable."""
     t = 0
     for size, _, verdicts in _walk(code, granularity, budget):
-        if not all(verdicts):
+        if not all(map(all, verdicts)):
             break
         t = size
     return t
@@ -246,7 +293,7 @@ def recoverable_fraction(code, f, granularity="symbol", decoder="joint",
     Returns (fraction, exact Fraction, (recoverable, total)).
     """
     (_, total, verdicts), = _walk(code, granularity, budget, decoder, f)
-    good = sum(verdicts)
+    good = sum(map(sum, verdicts))
     frac = Fraction(good, total)
     return float(frac), frac, (good, total)
 
@@ -256,7 +303,7 @@ def loss_coefficients(code, granularity="symbol", budget=DEFAULT_BUDGET):
     coeffs = [1]
     for _, _, verdicts in _walk(code, granularity, budget):
         # supersets of fatal patterns are fatal: past a dead size, no tests
-        coeffs.append(sum(verdicts) if coeffs[-1] else 0)
+        coeffs.append(sum(map(sum, verdicts)) if coeffs[-1] else 0)
     return coeffs
 
 
@@ -275,6 +322,7 @@ def classify_array_code(code, n, m, r, s, budget=DEFAULT_BUDGET):
     cols = code.columns()
     if len(cols) != n:
         raise ValueError("expected %d columns" % n)
+    index = code._index
     row_choices = [list(combinations(sorted(rows_of[rr], key=str), m))
                    for rr in sorted(rows_of)]
     # each property: its test count and the erased sets it adds s extras to
@@ -285,16 +333,19 @@ def classify_array_code(code, n, m, r, s, budget=DEFAULT_BUDGET):
         "PMDS": (math.prod(map(len, row_choices)) * math.comb(r * (n - m), s),
                  (set().union(*picks) for picks in product(*row_choices))),
     }
-    eq_rows = code._rows
     all_syms = code._symbol_set
+
+    def patterns(bases):
+        for base in bases:
+            rest = [index[x] for x in sorted(all_syms - base, key=str)]
+            base = tuple(index[x] for x in base)
+            yield from map(base.__add__, combinations(rest, s))
+
     holds = {}
     for name, (tests, bases) in checks.items():
         if tests > budget:
             raise BudgetExceeded("%s check needs %d tests" % (name, tests))
-        holds[name] = all(
-            _solvable(code.field, eq_rows, base.union(extra))
-            for base in bases
-            for extra in combinations(sorted(all_syms - base, key=str), s))
+        holds[name] = all(map(all, _verdicts(code, patterns(bases))))
     if holds["PMDS"] and not holds["SD"]:
         raise AssertionError("PMDS without SD; enumeration is inconsistent")
     if holds["PMDS"]:
@@ -326,6 +377,8 @@ def repair_plan(code, erasures, granularity="symbol", exact_limit=1 << 16):
     if not _solvable(code.field, rows, erased):
         raise UnrecoverableError("pattern %r is not recoverable" % (erasures,))
     relevant = [(i, r) for i, r in enumerate(rows) if set(r) & erased]
+    if 2 ** len(relevant) <= exact_limit:
+        return _exact_plan(code, erased, [i for i, _ in relevant])
 
     def evaluate(subset):
         sub = [r for _, r in subset]
@@ -336,19 +389,6 @@ def repair_plan(code, erasures, granularity="symbol", exact_limit=1 << 16):
             reads.update(set(r) - erased)
         return reads
 
-    best = None
-    best_eqs = None
-    if 2 ** len(relevant) <= exact_limit:
-        for mask in range(1, 2 ** len(relevant)):
-            subset = [relevant[i] for i in range(len(relevant))
-                      if mask >> i & 1]
-            if len(subset) < len(erased):
-                continue  # |E| unknowns need at least |E| equations
-            reads = evaluate(subset)
-            if reads is not None and (best is None or len(reads) < len(best)):
-                best = reads
-                best_eqs = tuple(i for i, _ in subset)
-        return RepairPlan(tuple(sorted(best, key=str)), best_eqs, True)
     # greedy: add the equation that buys the most progress per new read
     chosen = []
     while True:
@@ -368,6 +408,34 @@ def repair_plan(code, erasures, granularity="symbol", exact_limit=1 << 16):
         chosen.append(scored[0][2])
     return RepairPlan(tuple(sorted(reads, key=str)),
                       tuple(i for i, _ in chosen), False)
+
+
+def _exact_plan(code, erased, relevant):
+    """The first plan, in ascending subset-mask order, with the fewest reads
+    among the subsets of the `relevant` equations that determine `erased`:
+    H[relevant, E] times each subset's 0/1 row selection, BLOCK at a time."""
+    cols = sorted(code._index[x] for x in erased)
+    h = code._H[relevant]
+    support = h != 0
+    support[:, cols] = False
+    mul, _ = code.field.tables
+    # read right to left, product counts the masks up from 0 (skipped)
+    subsets = islice(product((0, 1), repeat=len(relevant)), 1, None)
+    best = None
+    while block := list(islice(subsets, BLOCK)):
+        sel = np.array(block, dtype=np.uint8)[:, ::-1]
+        ranks = gf.eliminate(code.field,
+                             mul[h[:, cols, None], sel.T[:, None]], len(cols))
+        reads = (sel.view(bool)[:, :, None] & support).any(axis=1)
+        counts = reads.sum(axis=1).tolist()
+        for rank, count, r, chosen in zip(ranks.tolist(), counts, reads, sel):
+            if rank == len(cols) and (best is None or count < best[0]):
+                best = count, r, chosen
+    _, reads, chosen = best
+    symbols = code.symbols
+    return RepairPlan(
+        tuple(sorted((symbols[j] for j in np.flatnonzero(reads)), key=str)),
+        tuple(i for i, c in zip(relevant, chosen) if c), True)
 
 
 def verify_plan(code, erasures, reads, granularity="symbol"):

@@ -207,11 +207,13 @@ def transient_uniformization(chain, t, tol=1e-12, rate_factor=1.0):
 
 
 def transient_series(chain, t, n_terms):
-    """Truncated Taylor series for pi(t) with an error bound.
+    """Truncated Taylor series for pi(t) with its truncation bound.
 
     pi(t) ~ sum_{n<=N} pi(0) (Qt)^n / n! via the F_n = F_{n-1} Q t/n
     recursion.  The reported bound is the tail of the exponential series in
-    the infinity norm of Qt; for large |Q| t prefer uniformization.
+    the infinity norm of Qt: it bounds the truncation error only, not the
+    round-off of summing terms of alternating sign, which can be orders of
+    magnitude larger.  For large |Q| t prefer uniformization.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
@@ -239,26 +241,26 @@ def transient_series(chain, t, n_terms):
 
 
 def reliability_curve(chain, times, tol=1e-12):
-    """R(t) = 1 - P(absorbed by t) at each requested time."""
+    """R(t) = P(not absorbed by t) at each requested time.
+
+    R(t) is read as the mass left on the transient states, which keeps its
+    relative precision however small it gets; one minus the absorbed mass
+    would be lost in the round-off of the absorbed mass near 1.
+    """
     if not chain.absorbing:
         raise ValueError("no absorbing (failure) states")
-    ab = chain.absorbing_index
-    out = []
-    for t in times:
-        pi = transient_uniformization(chain, t, tol)
-        out.append(1.0 - float(pi[ab].sum()))
-    return out
+    live = chain.transient_index
+    return [float(transient_uniformization(chain, t, tol)[live].sum())
+            for t in times]
 
 
 def mttf_by_quadrature(chain, tol=1e-8):
     """Integral of R(t) over [0, inf), for cross-checking the linear solve."""
     from scipy import integrate
     total, _, _ = mean_time_to_absorption(chain)
-    ab = chain.absorbing_index
 
     def reliability(t):
-        pi = transient_uniformization(chain, t, min(tol * 1e-3, 1e-10))
-        return 1.0 - float(pi[ab].sum())
+        return reliability_curve(chain, [t], min(tol * 1e-3, 1e-10))[0]
 
     # R(t) decays (asymptotically) exponentially: cut where it is negligible
     cutoff = 4.0 * total

@@ -2,6 +2,13 @@
 #
 # Addition is XOR.  Multiplication uses log/antilog tables built from a fixed
 # primitive polynomial per field size.  GF(2) is special-cased (bit algebra).
+# Elimination is table-driven and vectorised across a stack of matrices:
+# each Field builds its full product table and inverse table once, on first
+# use, as uint8 arrays.
+
+from functools import cached_property
+
+import numpy as np
 
 _PRIMITIVE_POLY = {
     1: 0b11,         # x + 1 (GF(2), tables degenerate)
@@ -64,6 +71,21 @@ class Field:
         n = self.order - 1
         return self.exp[(self.log[a] * (k % n)) % n]
 
+    @cached_property
+    def tables(self):
+        """(MUL, INV): the q x q product table and the inverse table as uint8
+        arrays, gathered from the log/antilog tables (MUL[a, b] = a * b,
+        INV[0] = 0)."""
+        n = self.order - 1
+        exp = np.array(self.exp, dtype=np.uint8)
+        log = np.array(self.log[1:], dtype=np.intp)  # of 1 .. q-1
+        mul = np.zeros((self.order, self.order), dtype=np.uint8)
+        for a in range(1, self.order):  # a * b = exp[log a + log b]
+            mul[a, 1:] = exp[self.log[a]:][log]
+        inv = np.zeros(self.order, dtype=np.uint8)
+        inv[1:] = exp[n - log]
+        return mul, inv
+
     def elements(self):
         return range(self.order)
 
@@ -76,36 +98,52 @@ GF16 = Field(4)
 GF256 = Field(8)
 
 
-def _eliminate(field, m, ncols):
-    """Gauss-Jordan on the rows `m` in place, pivoting on the first `ncols`
-    columns; returns the rank.  Pivot rows move to the top, scaled to 1."""
-    r = 0
+def eliminate(field, m, ncols):
+    """Gauss-Jordan, in place, on every matrix of the uint8 stack `m`,
+    pivoting on the first `ncols` columns; returns each matrix's rank.
+
+    `m` has shape (rows, cols, patterns): the pattern axis is last, so each
+    step runs along contiguous patterns.  Rows stay where they are: a pivot
+    row is scaled to 1 in its pivot column, which is cleared from every
+    other row.  Columns beyond `ncols` (right-hand sides) are carried along;
+    columns left of the current one are final and no longer updated.
+    """
+    mul, inv = field.tables
+    mul = mul.ravel()
+    # INV of a pivot, or 0 for a matrix without one: its row is then zeroed
+    scale = np.zeros((2, field.order), dtype=np.uint8)
+    scale[1] = inv
+
+    def times(a, b):  # elementwise a * b through the flat product table
+        return mul.take(np.left_shift(a, field.w, dtype=np.intp) | b)
+
+    nrows, _, b = m.shape
+    if not nrows:
+        return np.zeros(b, dtype=np.intp)
+    at = np.arange(b)
+    free = np.ones((nrows, b), dtype=bool)
     for c in range(ncols):
-        piv = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        iv = field.inv(m[r][c])
-        if iv != 1:
-            m[r] = [field.mul(v, iv) for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a ^ field.mul(f, b) for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == len(m):
-            break
-    return r
+        col = m[:, c]
+        cand = (col != 0) & free
+        piv = cand.argmax(axis=0)
+        has = cand[piv, at]
+        row = m[piv, c:, at].T
+        row = times(scale[has.view(np.uint8), row[0]], row)
+        # row i gains f_i * row: f is column c, so the other rows clear it,
+        # and the pivot row's factor p + 1 turns it into the scaled row
+        f = col.copy()
+        f[piv, at] ^= has
+        m[:, c:] ^= times(f[:, None], row)
+        free[piv, at] ^= has
+    return nrows - free.sum(axis=0)
 
 
 def rank(field, rows):
     """Rank of a matrix given as list of coefficient lists."""
-    m = [list(r) for r in rows]
-    return _eliminate(field, m, len(m[0])) if m else 0
+    if not rows:
+        return 0
+    m = np.array(rows, dtype=np.uint8)[:, :, None]
+    return int(eliminate(field, m, m.shape[1])[0])
 
 
 def solve(field, a_rows, b_vecs):
@@ -116,7 +154,13 @@ def solve(field, a_rows, b_vecs):
     full column rank and every b satisfies the rows beyond that rank.
     """
     n = len(a_rows[0])
-    m = [list(r) + [bv[i] for bv in b_vecs] for i, r in enumerate(a_rows)]
-    if _eliminate(field, m, n) < n or any(any(r[n:]) for r in m[n:]):
+    m = np.array([list(r) + [bv[i] for bv in b_vecs]
+                  for i, r in enumerate(a_rows)], dtype=np.uint8)[:, :, None]
+    if eliminate(field, m, n)[0] < n:
         return None
-    return [[m[i][n + j] for i in range(n)] for j in range(len(b_vecs))]
+    a, rhs = m[:, :n, 0], m[:, n:, 0]
+    # with full column rank each column holds a single 1, in its pivot row;
+    # the other rows are zero on A and must be zero on b too
+    if rhs[~a.any(axis=1)].any():
+        return None
+    return rhs[a.argmax(axis=0)].T.tolist()

@@ -283,14 +283,18 @@ def sim_generic_mttdl(n, delta, mu, regime="angus", tolerance=None,
 def sim_code_mttdl(code, delta, mu, regime="angus", granularity="column",
                    reps=2000, seed=0, level=0.95):
     """MTTDL of a device array protected by an erasure code: loss occurs
-    when the failed column set becomes unrecoverable."""
+    when the failed column set becomes unrecoverable.  Each distinct failed
+    set is decided once per call."""
     from .codes import is_recoverable
     units = code.columns() if granularity == "column" else list(code.symbols)
-    index = {i: u for i, u in enumerate(units)}
+    verdicts = {}
 
     def lost(failed_ids):
-        return not is_recoverable(code, [index[i] for i in failed_ids],
-                                  granularity)
+        key = frozenset(failed_ids)
+        if key not in verdicts:
+            verdicts[key] = not is_recoverable(
+                code, [units[i] for i in key], granularity)
+        return verdicts[key]
 
     return sim_generic_mttdl(len(units), delta, mu, regime,
                              predicate=lost, reps=reps, seed=seed,

@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,6 +131,12 @@ class TestTolerance:
         with pytest.raises(BudgetExceeded):
             erasure_tolerance(c, "symbol", budget=10)
 
+    def test_raid4k_rejects_non_mds_generator(self):
+        # over GF(16) the Vandermonde rows of raid4k(9, 4) are not MDS
+        with pytest.raises(ValueError,
+                           match="^generator is not MDS for n=9 k=4$"):
+            builders.raid4k(9, 4, field=gf.GF16)
+
 
 class TestFractions:
     def test_pyramid_table_row(self):
@@ -243,6 +250,26 @@ class TestRepair:
     def test_verify_rejects_too_small_read_set(self):
         c = builders.raid5(5)
         assert not verify_plan(c, ["d1"], ["d2", "d3"])
+
+    # every single and pair plan, exact and greedy, as the one-subset-at-a-
+    # time search planned them
+    PINNED = json.loads(
+        (Path(__file__).parent / "repair_plans.json").read_text())
+
+    @pytest.mark.parametrize("name,make,exact_limit", [
+        ("xorbas_16_10_5", builders.xorbas_16_10_5, 1 << 16),
+        ("azure_lrc_10_6_3", lambda: builders.azure_lrc(10, 6, 3), 1 << 16),
+        ("xorbas_16_10_5_greedy", builders.xorbas_16_10_5, 1),
+    ], ids=["xorbas", "azure", "xorbas_greedy"])
+    def test_plans_match_pinned(self, name, make, exact_limit):
+        code = make()
+        got = {}
+        for f in (1, 2):
+            for p in combinations(code.symbols, f):
+                plan = repair_plan(code, list(p), exact_limit=exact_limit)
+                got[" ".join(p)] = [list(plan.reads),
+                                    list(plan.equations_used), plan.optimal]
+        assert got == self.PINNED[name]
 
 
 class TestMetrics:
@@ -360,6 +387,12 @@ class TestLossCoefficients:
         assert a[1] == 6
         assert a[2] == 0
 
+    def test_code_without_equations_recovers_nothing(self):
+        # the compiled matrix has no rows, and the kernel must still answer
+        c = codes.CodeSpec("bare", gf.GF16, ("a", "b"), (), ())
+        assert loss_coefficients(c) == [1, 0, 0]
+        assert not is_recoverable(c, ["a"])
+
     def test_zero_index_is_one(self):
         a = loss_coefficients(builders.lsi(8))
         assert a[0] == 1
@@ -386,6 +419,28 @@ class TestEnumeratorConsistency:
         assert all(loss[i] == comb(n, i) for i in range(t + 1))
         assert t == n or loss[t + 1] < comb(n, t + 1)
 
+    @pytest.mark.parametrize("make,granularity,sizes", [
+        (builders.was_lrc_6_2_2, "column", None),
+        (builders.pyramid_8_2_2, "symbol", None),
+        (lambda: builders.xcode(7), "symbol", (1, 2, 3)),
+        (builders.resar_small, "column", None),
+    ], ids=["was_lrc", "pyramid", "xcode7", "resar_small"])
+    def test_batched_walk_matches_single_patterns(self, make, granularity,
+                                                  sizes):
+        # the walker decides blocks of patterns by rank alone; one pattern
+        # at a time, is_recoverable peels first.  resar_small's columns hold
+        # 9 or 10 symbols, so its blocks are padded
+        code = make()
+        units = code.columns() if granularity == "column" else code.symbols
+        single = [sum(is_recoverable(code, p, granularity)
+                      for p in combinations(units, f))
+                  for f in sizes or range(1, len(units) + 1)]
+        batched = [recoverable_fraction(code, f, granularity)[2][0]
+                   for f in sizes or range(1, len(units) + 1)]
+        assert batched == single
+        if sizes is None:
+            assert loss_coefficients(code, granularity) == [1] + single
+
 
 class TestDerivedCache:
     @pytest.mark.parametrize("make,bits", [
@@ -407,6 +462,20 @@ class TestDerivedCache:
         code.column_symbols(code.columns()[0]).clear()
         assert list(code._rows) == code.parity_rows()
         assert code.column_symbols(code.columns()[0])
+
+    @pytest.mark.parametrize("make", [
+        lambda: builders.rdp(5), builders.was_lrc_6_2_2, builders.pmds_fig,
+        builders.xorbas_16_10_5,
+    ], ids=["rdp5", "was_lrc", "pmds_fig", "xorbas"])
+    def test_compiled_matrix_matches_rows(self, make):
+        code = make()
+        h = code._H
+        assert h.dtype == np.uint8
+        assert h.shape == (len(code.equations) + len(code.extra_equations),
+                           code.n)
+        assert h.tolist() == [[row.get(s, 0) for s in code.symbols]
+                              for row in code.parity_rows()]
+        assert [code._index[s] for s in code.symbols] == list(range(code.n))
 
     def test_cached_base_rows_match_base_view(self):
         code = builders.pyramid_8_2_2()

@@ -184,6 +184,28 @@ class TestQuadrature:
         quad = mttf_by_quadrature(chain, tol=1e-7)
         assert quad == pytest.approx(total, rel=1e-6)
 
+    def test_raid5_quadrature_matches_solve(self):
+        # R(t) read as one minus the absorbed mass integrated round-off at
+        # t >= 1e9 h here and gave a negative MTTF
+        chain = raid5_chain(ReliabilityParams(disks=8, delta=1e-5,
+                                              mu=1 / 17.8))
+        total, _, _ = mean_time_to_absorption(chain)
+        assert total == pytest.approx(1.0059e7, rel=1e-4)
+        assert mttf_by_quadrature(chain, tol=1e-6) == \
+            pytest.approx(total, rel=1e-6)
+
+    def test_far_tail_keeps_relative_precision(self):
+        chain = raid5_chain(ReliabilityParams(disks=8, delta=1e-5,
+                                              mu=1 / 17.8))
+        live = chain.transient_index
+        lam, vec = np.linalg.eig(chain.q[np.ix_(live, live)])
+        start = chain.initial[live] @ vec
+        weights = np.linalg.solve(vec, np.ones(len(live)))
+        for t in (1e8, 1e9):
+            exact = float(np.real(start * np.exp(lam * t) @ weights))
+            assert reliability_curve(chain, [t])[0] == \
+                pytest.approx(exact, rel=1e-3)
+
     def test_duplex_closed_form_oracle(self):
         # hand solution of the two-transient-state system:
         # t0 = 1/(2d) + c t1,  t1 = 1/(mu+d) + mu/(mu+d) t0

@@ -157,6 +157,51 @@ def field_matrices(draw, rows, cols):
     return field, [[draw(el) for _ in range(nc)] for _ in range(nr)]
 
 
+@st.composite
+def field_batches(draw):
+    """(field, matrices of one shape) for one batched elimination: zero
+    columns and (scaled) duplicate columns are planted often, and there may
+    be more rows than columns."""
+    field = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    nr = draw(st.integers(1, 5))
+    nc = draw(st.integers(1, 4))
+    el = st.one_of(st.just(0), st.just(1), st.integers(0, field.order - 1))
+    mats = []
+    for _ in range(draw(st.integers(1, 6))):
+        a = [[draw(el) for _ in range(nc)] for _ in range(nr)]
+        j, k = draw(st.integers(0, nc - 1)), draw(st.integers(0, nc - 1))
+        plant = draw(st.sampled_from(["none", "zero", "duplicate"]))
+        scale = draw(st.integers(1, field.order - 1))
+        for row in a:
+            if plant == "zero":
+                row[j] = 0
+            elif plant == "duplicate":
+                row[j] = field.mul(scale, row[k])
+        mats.append(a)
+    return field, mats
+
+
+class TestBatchedElimination:
+    @given(field_batches())
+    @settings(max_examples=300, deadline=None)
+    def test_batched_ranks_are_largest_nonzero_minors(self, fb):
+        field, mats = fb
+        # the stack is (rows, cols, patterns)
+        stack = np.array(mats, dtype=np.uint8).transpose(1, 2, 0).copy()
+        ranks = gf.eliminate(field, stack, stack.shape[1])
+        assert ranks.tolist() == [_minor_rank(field, a) for a in mats]
+
+    def test_batch_of_one_and_many_agree(self):
+        rng = np.random.default_rng(5)
+        for field in FIELDS.values():
+            stack = rng.integers(0, field.order, (6, 4, 300)).astype(np.uint8)
+            stack[:, 1] = stack[:, 0]  # every matrix loses a column
+            stack[:, :, ::7] = 0
+            single = [gf.rank(field, stack[:, :, i].tolist())
+                      for i in range(300)]
+            assert gf.eliminate(field, stack.copy(), 4).tolist() == single
+
+
 class TestEliminationOracle:
     @given(field_matrices(st.integers(1, 4), lambda r: st.integers(1, 5)))
     @settings(max_examples=300, deadline=None)

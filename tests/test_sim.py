@@ -173,6 +173,23 @@ class TestGenericMttdl:
         want, _, _ = mean_time_to_absorption(chain)
         assert abs(rep.estimate - want) <= 3 * rep.half_width
 
+    def test_code_predicate_decides_each_failed_set_once(self, monkeypatch):
+        from raidlab import codes
+        asked = []
+        real = codes.is_recoverable
+
+        def counting(code, erasures, granularity="symbol"):
+            asked.append(frozenset(erasures))
+            return real(code, erasures, granularity)
+
+        monkeypatch.setattr(codes, "is_recoverable", counting)
+        rep = sim_code_mttdl(builders.was_lrc_6_2_2(), 0.1, 1.0,
+                             regime="angus", reps=100, seed=7)
+        # the estimate of the unmemoised predicate, bit for bit
+        assert rep.estimate == 144.45478498774457
+        assert rep.half_width == 26.160589453193655
+        assert 0 < len(asked) == len(set(asked))
+
 
 class TestCopysetSim:
     def test_exact_enumeration_small(self):
