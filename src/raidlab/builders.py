@@ -44,9 +44,10 @@ def raid4k(n, k, field=gf.GF256):
     if not 1 <= k < n:
         raise ValueError("need 1 <= k < n")
     m = n - k
-    alphas = [field.exp[i] for i in range(m)]
-    if len(set(alphas)) != m:
+    # the powers of a primitive element are distinct up to order - 1 of them
+    if m > field.order - 1:
         raise ValueError("field too small for %d data symbols" % m)
+    alphas = [field.exp[i] for i in range(m)]
     data = tuple("d%d" % i for i in range(m))
     checks = tuple("c%d" % j for j in range(k))
     equations = []

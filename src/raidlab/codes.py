@@ -5,16 +5,18 @@ which field-sums to zero over the stored symbols.  Recoverability of an
 erasure pattern is a rank question on the equation matrix restricted to the
 erased columns.
 
-Each CodeSpec compiles its uint8 parity-check matrix `_H` once; the field
-tables live on `gf.Field`.  Enumerations decide BLOCK patterns per call of
-the batched `gf.eliminate`; a single pattern is peeled first and goes
+Each CodeSpec compiles its equations once, into the read-only uint8
+parity-check matrix `_H` and one support bitmask per row; the field tables
+live on `gf.Field`.  An erasure pattern is a bitmask over symbol indices.
+Enumerations decide BLOCK patterns per call of the batched `gf.eliminate`; a
+single pattern is peeled on the row supports first, and what is left goes
 through the same kernel as a batch of one.
 """
 
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from fractions import Fraction
 from itertools import chain, combinations, islice, product
 
@@ -58,21 +60,25 @@ class CodeSpec:
 
     def __post_init__(self):
         seen = set()
-        for cid, terms in self.equations:
+        for cid, _ in self.equations:
             if cid in seen:
                 raise ValueError("check %r owned by two equations" % (cid,))
             seen.add(cid)
-            for s, c in terms:
-                if c == 0:
-                    raise ValueError("zero coefficient on %r" % (s,))
-        for terms in self.extra_equations:
-            for s, c in terms:
-                if c == 0:
-                    raise ValueError("zero coefficient on %r" % (s,))
         if self.column_map is None:
             self.column_map = {s: i for i, s in enumerate(self.symbols)}
         if set(self.column_map) != set(self.data_ids) | set(self.check_ids):
             raise ValueError("column_map must cover every symbol")
+        # the compiled forms every query reads, shared: callers must not
+        # mutate them
+        self._index = {s: i for i, s in enumerate(self.symbols)}
+        # a row per equation (extra equations last), a column per symbol
+        rows = [terms for _, terms in self.equations]
+        self._H, self._support = _compile(
+            rows + list(self.extra_equations), self._index)
+        self._column_masks = {}
+        for s, col in self.column_map.items():
+            self._column_masks[col] = \
+                self._column_masks.get(col, 0) | 1 << self._index[s]
 
     @property
     def symbols(self):
@@ -89,134 +95,136 @@ class CodeSpec:
     def columns(self):
         return sorted(set(self.column_map.values()), key=str)
 
-    def column_symbols(self, col):
-        return list(self._column_symbols.get(col, ()))
-
-    def parity_rows(self):
-        """Equations (including implied identities) as {symbol: coeff} dicts."""
-        rows = [dict(terms) for _, terms in self.equations]
-        rows.extend(dict(terms) for terms in self.extra_equations)
-        return rows
-
-    # Derived once per code and shared by every query; callers must not
-    # mutate them (parity_rows() and column_symbols() hand out copies).
     @cached_property
-    def _rows(self):
-        return tuple(self.parity_rows())
+    def _base(self):
+        """The base view compiled over the symbols followed by its virtual
+        symbols: the matrix, its row supports, and (bit, mask of its parts)
+        for each virtual symbol."""
+        virtuals = self.base_view["virtuals"]
+        index = dict(self._index)
+        index.update((vid, self.n + i) for i, vid in enumerate(virtuals))
+        h, support = _compile(self.base_view["equations"], index)
+        parts = [(1 << index[vid], _expand(self, (s for s, _ in terms),
+                                           "symbol"))
+                 for vid, terms in virtuals.items()]
+        return h, support, parts
 
-    @cached_property
-    def _column_symbols(self):
-        cols = {}
-        for s, c in self.column_map.items():
-            cols.setdefault(c, []).append(s)
-        return cols
 
-    @cached_property
-    def _symbol_set(self):
-        return frozenset(self.symbols)
+def _compile(rows, index):
+    """The rows of (id, coeff) terms as a read-only uint8 matrix with the
+    column `index[id]` for each id, and each row's support, `_H != 0`, as a
+    bitmask over those columns."""
+    h = np.zeros((len(rows), len(index)), dtype=np.uint8)
+    for i, terms in enumerate(rows):
+        for s, c in terms:
+            if c == 0:
+                raise ValueError("zero coefficient on %r" % (s,))
+            if s not in index:
+                raise ValueError("equation term %r is not a symbol" % (s,))
+            h[i, index[s]] = c
+    h.flags.writeable = False
+    return h, [sum(1 << j for j in np.flatnonzero(row).tolist()) for row in h]
 
-    @cached_property
-    def _index(self):
-        return {s: i for i, s in enumerate(self.symbols)}
 
-    @cached_property
-    def _H(self):
-        """A row per equation (extra equations last), a column per symbol."""
-        return np.array([[r.get(s, 0) for s in self.symbols]
-                         for r in self._rows],
-                        dtype=np.uint8).reshape(len(self._rows), self.n)
+def _bits(mask):
+    """Indices of the set bits of `mask`, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
-    @cached_property
-    def _base_rows(self):
-        """Base-view equations as dict rows, and the symbols they touch."""
-        rows = tuple(dict(eq) for eq in self.base_view["equations"])
-        return rows, frozenset().union(*rows)
+
+def _names(code, indices):
+    """The symbols at `indices`, in str order."""
+    symbols = code.symbols
+    return tuple(sorted((symbols[j] for j in indices), key=str))
 
 
 def _expand(code, pattern, granularity):
-    if granularity == "symbol":
-        return set(pattern)
-    if granularity == "column":
-        erased = set()
-        for col in pattern:
-            erased.update(code._column_symbols.get(col, ()))
-        return erased
-    raise ValueError("granularity must be 'symbol' or 'column'")
-
-
-def _peel(rows, erased):
-    """Erased symbols left after repeatedly solving every equation of `rows`
-    that has a single erased member."""
-    erased = set(erased)
-    touch = [r.keys() & erased for r in rows]
-    while erased:
-        solo = {next(iter(t)) for t in touch if len(t) == 1}
-        if not solo:
-            break
-        erased -= solo
-        touch = [t - solo for t in touch]
+    """The symbols of the erased `pattern` units, as a bitmask; a unit the
+    code does not have is an error."""
+    if granularity not in ("symbol", "column"):
+        raise ValueError("granularity must be 'symbol' or 'column'")
+    erased = 0
+    for u in pattern:
+        if granularity == "symbol" and u in code._index:
+            erased |= 1 << code._index[u]
+        elif granularity == "column" and u in code._column_masks:
+            erased |= code._column_masks[u]
+        else:
+            raise ValueError("code %s has no %s %r"
+                             % (code.name, granularity, u))
     return erased
 
 
-def _restrict(rows, cols):
-    """Matrix of the dict rows on `cols` (in str order), keeping only the
-    rows that touch one of them."""
-    cols = sorted(cols, key=str)
-    return [[r.get(s, 0) for s in cols] for r in rows
-            if not r.keys().isdisjoint(cols)]
+def _peel(support, erased):
+    """The `erased` mask left after repeatedly solving every row, given by
+    its `support` mask, that has a single erased member."""
+    rows = [r for r in support if r & erased]
+    while erased:
+        solo = 0
+        for r in rows:
+            t = r & erased
+            if not t & (t - 1):  # one bit set, or none
+                solo |= t
+        if not solo:
+            break
+        erased ^= solo
+    return erased
 
 
-def _determined(field, rows, cols):
-    """True iff the dict `rows` restricted to `cols` have full column rank
-    (which fewer rows touching `cols` than columns cannot have)."""
-    m = _restrict(rows, cols)
-    return len(m) >= len(cols) and gf.rank(field, m) == len(cols)
+def _determined(field, h, support, erased):
+    """True iff the rows of `h` restricted to the `erased` columns have full
+    column rank (which fewer rows touching them than columns cannot have)."""
+    rows = [i for i, r in enumerate(support) if r & erased]
+    cols = _bits(erased)
+    return len(rows) >= len(cols) and \
+        gf.rank(field, h[rows][:, cols]) == len(cols)
 
 
-def _solvable(field, rows, erased):
-    """True iff `erased` symbols are determined by the equations `rows`.
+def _solvable(field, h, support, erased):
+    """True iff the `erased` symbols are determined by the rows of `h`, whose
+    supports are `support`.
 
-    Peels equations with a single erased member first (cheap and it is how
-    most local repairs resolve), then falls back to a joint rank test.
+    Peels rows with a single erased member first (cheap and it is how most
+    local repairs resolve), then falls back to a joint rank test.
     """
-    erased = _peel(rows, erased)
-    return not erased or _determined(field, rows, erased)
+    erased = _peel(support, erased)
+    return not erased or _determined(field, h, support, erased)
 
 
 def is_recoverable(code, erasures, granularity="symbol"):
     """True iff the erased symbols are uniquely determined by the survivors."""
-    erased = _expand(code, erasures, granularity)
-    if not erased <= code._symbol_set:
-        raise ValueError("erasures outside symbol space")
-    return _solvable(code.field, code._rows, erased)
+    return _solvable(code.field, code._H, code._support,
+                     _expand(code, erasures, granularity))
 
 
 def _base_view_recoverable(code, erased):
-    """Two-phase decode: peel local equations, then solve the base view.
+    """Two-phase decode of the `erased` mask: peel local equations, then
+    solve the base view.
 
     Virtual base symbols (e.g. a parity that was split into two stored local
     parities) count as erased while any of their constituents is erased; when
     the base system determines all its unknowns, everything else peels.
     """
-    virtuals = code.base_view["virtuals"]
-    rows = code._rows
-    base_rows, stored = code._base_rows
-    erased = set(erased)
+    h, support, virtuals = code._base
+    stored = reduce(operator.or_, support, 0)
     while True:
         # phase 1: peel own equations (local repairs)
-        erased = _peel(rows, erased)
+        erased = _peel(code._support, erased)
         if not erased:
             return True
-        # phase 2: joint solve on the base view with virtual symbols
-        base_erased = {vid for vid, parts in virtuals.items()
-                       if any(s in erased for s, _ in parts)}
-        base_erased |= erased & stored
-        # base decode recovers its own symbols; drop them and re-peel
-        recovered = base_erased & erased
-        if not base_erased or not recovered or \
-                not _determined(code.field, base_rows, base_erased):
+        # phase 2: joint solve on the base view with virtual symbols; the
+        # base decode recovers its own symbols, which are dropped to re-peel
+        recovered = erased & stored
+        base_erased = recovered | sum(bit for bit, parts in virtuals
+                                      if erased & parts)
+        if not recovered or \
+                not _determined(code.field, h, support, base_erased):
             return False
-        erased -= recovered
+        erased ^= recovered
 
 
 def _verdicts(code, patterns):
@@ -250,8 +258,8 @@ def _walk(code, granularity, budget, decoder="joint", size=None):
     if decoder == "local-global" and not code.base_view:
         raise ValueError("code %s has no base view" % code.name)
     units = code.columns() if granularity == "column" else list(code.symbols)
-    parts = [tuple(code._index[s] for s in _expand(code, [u], granularity))
-             for u in units]
+    masks = [_expand(code, [u], granularity) for u in units]
+    parts = [tuple(_bits(m)) for m in masks]
     spent = 0
 
     def verdicts(f):
@@ -263,11 +271,10 @@ def _walk(code, granularity, budget, decoder="joint", size=None):
         if decoder == "joint":
             yield from _verdicts(code, (sum(p, ())
                                         for p in combinations(parts, f)))
-        else:
-            patterns = combinations(units, f)
+        else:  # the units' masks are disjoint: their sum is their union
+            patterns = combinations(masks, f)
             while block := list(islice(patterns, BLOCK)):
-                yield [_base_view_recoverable(
-                    code, _expand(code, p, granularity)) for p in block]
+                yield [_base_view_recoverable(code, sum(p)) for p in block]
 
     for f in range(1, len(units) + 1) if size is None else (size,):
         yield f, math.comb(len(units), f), verdicts(f)
@@ -322,24 +329,25 @@ def classify_array_code(code, n, m, r, s, budget=DEFAULT_BUDGET):
     cols = code.columns()
     if len(cols) != n:
         raise ValueError("expected %d columns" % n)
-    index = code._index
     row_choices = [list(combinations(sorted(rows_of[rr], key=str), m))
                    for rr in sorted(rows_of)]
-    # each property: its test count and the erased sets it adds s extras to
+    # each property: its test count and the erased masks it adds s extras to
     checks = {
         "SD": (math.comb(n, m) * math.comb(r * (n - m), s),
                (_expand(code, colset, "column")
                 for colset in combinations(cols, m))),
         "PMDS": (math.prod(map(len, row_choices)) * math.comb(r * (n - m), s),
-                 (set().union(*picks) for picks in product(*row_choices))),
+                 (_expand(code, chain(*picks), "symbol")
+                  for picks in product(*row_choices))),
     }
-    all_syms = code._symbol_set
+    # the extras are drawn from the symbols in str order
+    names = list(map(str, code.symbols))
+    by_str = sorted(range(code.n), key=names.__getitem__)
 
     def patterns(bases):
         for base in bases:
-            rest = [index[x] for x in sorted(all_syms - base, key=str)]
-            base = tuple(index[x] for x in base)
-            yield from map(base.__add__, combinations(rest, s))
+            rest = [j for j in by_str if not base >> j & 1]
+            yield from map(tuple(_bits(base)).__add__, combinations(rest, s))
 
     holds = {}
     for name, (tests, bases) in checks.items():
@@ -373,48 +381,33 @@ def repair_plan(code, erasures, granularity="symbol", exact_limit=1 << 16):
     otherwise falls back to a greedy cover (flagged non-optimal).
     """
     erased = _expand(code, erasures, granularity)
-    rows = code._rows
-    if not _solvable(code.field, rows, erased):
+    h, support = code._H, code._support
+    if not _solvable(code.field, h, support, erased):
         raise UnrecoverableError("pattern %r is not recoverable" % (erasures,))
-    relevant = [(i, r) for i, r in enumerate(rows) if set(r) & erased]
+    relevant = [i for i, r in enumerate(support) if r & erased]
     if 2 ** len(relevant) <= exact_limit:
-        return _exact_plan(code, erased, [i for i, _ in relevant])
-
-    def evaluate(subset):
-        sub = [r for _, r in subset]
-        if not _solvable(code.field, sub, erased):
-            return None
-        reads = set()
-        for r in sub:
-            reads.update(set(r) - erased)
-        return reads
-
-    # greedy: add the equation that buys the most progress per new read
-    chosen = []
-    while True:
-        reads = evaluate(chosen)
-        if reads is not None:
-            break
-        scored = []
-        for cand in relevant:
-            if cand in chosen:
-                continue
-            new_reads = len(set(cand[1]) - erased -
-                            {s for _, r in chosen for s in r})
-            scored.append((new_reads, -len(set(cand[1]) & erased), cand))
+        return _exact_plan(code, erased, relevant)
+    # greedy: add the equation that buys the most progress per new read,
+    # the first such in row order
+    chosen, touched = [], 0
+    while not _solvable(code.field, h[chosen], [support[i] for i in chosen],
+                        erased):
+        scored = [((support[i] & ~(erased | touched)).bit_count(),
+                   -(support[i] & erased).bit_count(), i)
+                  for i in relevant if i not in chosen]
         if not scored:
             raise UnrecoverableError("greedy repair failed")
-        scored.sort(key=lambda x: (x[0], x[1]))
-        chosen.append(scored[0][2])
-    return RepairPlan(tuple(sorted(reads, key=str)),
-                      tuple(i for i, _ in chosen), False)
+        chosen.append(min(scored)[2])
+        touched |= support[chosen[-1]]
+    return RepairPlan(_names(code, _bits(touched & ~erased)), tuple(chosen),
+                      False)
 
 
 def _exact_plan(code, erased, relevant):
     """The first plan, in ascending subset-mask order, with the fewest reads
     among the subsets of the `relevant` equations that determine `erased`:
     H[relevant, E] times each subset's 0/1 row selection, BLOCK at a time."""
-    cols = sorted(code._index[x] for x in erased)
+    cols = _bits(erased)
     h = code._H[relevant]
     support = h != 0
     support[:, cols] = False
@@ -432,10 +425,8 @@ def _exact_plan(code, erased, relevant):
             if rank == len(cols) and (best is None or count < best[0]):
                 best = count, r, chosen
     _, reads, chosen = best
-    symbols = code.symbols
-    return RepairPlan(
-        tuple(sorted((symbols[j] for j in np.flatnonzero(reads)), key=str)),
-        tuple(i for i, c in zip(relevant, chosen) if c), True)
+    return RepairPlan(_names(code, np.flatnonzero(reads)),
+                      tuple(i for i, c in zip(relevant, chosen) if c), True)
 
 
 def verify_plan(code, erasures, reads, granularity="symbol"):
@@ -446,11 +437,10 @@ def verify_plan(code, erasures, reads, granularity="symbol"):
     rank(H[:, E + U]) == |E| + rank(H[:, U]).
     """
     erased = _expand(code, erasures, granularity)
-    reads = set(reads)
-    unread = code._symbol_set - erased - reads
-    rows = code._rows
-    lhs = gf.rank(code.field, _restrict(rows, erased | unread))
-    return lhs == len(erased) + gf.rank(code.field, _restrict(rows, unread))
+    unread = ((1 << code.n) - 1) & ~erased & ~_expand(code, reads, "symbol")
+    h = code._H
+    lhs = gf.rank(code.field, h[:, _bits(erased | unread)])
+    return lhs == erased.bit_count() + gf.rank(code.field, h[:, _bits(unread)])
 
 
 def repair_metrics(code, budget=DEFAULT_BUDGET):
@@ -505,43 +495,36 @@ def encode(code, data_values, rng=None):
                        for s in code.data_ids}
     # every symbol without a value is an unknown: the checks, and any data
     # left out, which leaves the system underdetermined
-    unknown = sorted(code._symbol_set - data_values.keys(), key=str)
-    mat, rhs = _system(code.field, code.equations, unknown, data_values)
-    sol = gf.solve(code.field, mat, [rhs])
-    if sol is None:
+    unknown = sum(1 << j for s, j in code._index.items()
+                  if s not in data_values)
+    solved = _solve(code, unknown, data_values)
+    if solved is None:
         raise ValueError("encode system does not determine the checks")
-    values = dict(data_values)
-    values.update(zip(unknown, sol[0]))
-    return values
+    return {**data_values, **solved}
 
 
-def _system(field, equations, unknown, values):
-    """Matrix on the `unknown` symbols and right-hand side of the
-    (check, terms) `equations`, with the terms of known `values` moved
-    right."""
-    idx = {s: i for i, s in enumerate(unknown)}
-    mat = []
-    rhs = []
-    for _, terms in equations:
-        row = [0] * len(unknown)
-        acc = 0
-        for s, c in terms:
-            if s in idx:
-                row[idx[s]] = c
-            else:
-                acc ^= field.mul(c, values[s])
-        mat.append(row)
-        rhs.append(acc)
-    return mat, rhs
+def _solve(code, unknown, values):
+    """{symbol: value} of the `unknown` symbols (a mask), solved from the
+    `values` of the others through the code's own equations; None unless
+    the equations determine them."""
+    h = code._H[:len(code.equations)]
+    if not len(h):  # solve reads the unknowns off the rows
+        return None
+    cols = _bits(unknown)
+    known = _bits(((1 << code.n) - 1) & ~unknown)
+    symbols = code.symbols
+    x = np.array([values[symbols[j]] for j in known], dtype=np.uint8)
+    # the known terms move right: in characteristic 2, with the same sign
+    mul, _ = code.field.tables
+    rhs = np.bitwise_xor.reduce(mul[h[:, known], x], axis=1)
+    sol = gf.solve(code.field, h[:, cols], [rhs])
+    return None if sol is None else \
+        dict(zip((symbols[j] for j in cols), sol[0]))
 
 
 def decode(code, values, erased):
     """Solve the erased symbols from surviving values; None if not possible."""
-    erased = sorted(set(erased), key=str)
-    mat, rhs = _system(code.field, code.equations, erased, values)
-    # solve reads the unknowns off the rows: a code without any decodes nothing
-    sol = gf.solve(code.field, mat, [rhs]) if mat else None
-    return None if sol is None else dict(zip(erased, sol[0]))
+    return _solve(code, _expand(code, erased, "symbol"), values)
 
 
 def grid_compose(row_factory, col_factory, k1, k2):
@@ -553,10 +536,9 @@ def grid_compose(row_factory, col_factory, k1, k2):
     identities by construction.
     """
     row_proto = row_factory(k2)
-    col_rows = k1
     row_checks = len(row_proto.check_ids)
     width = k2 + row_checks
-    col_proto = col_factory(col_rows)
+    col_proto = col_factory(k1)
     col_checks = len(col_proto.check_ids)
 
     def cell(i, j):

@@ -139,23 +139,22 @@ def eliminate(field, m, ncols):
 
 
 def rank(field, rows):
-    """Rank of a matrix given as list of coefficient lists."""
-    if not rows:
+    """Rank of a matrix: a 2-D array or a list of coefficient lists."""
+    if not len(rows):
         return 0
     m = np.array(rows, dtype=np.uint8)[:, :, None]
     return int(eliminate(field, m, m.shape[1])[0])
 
 
-def solve(field, a_rows, b_vecs):
+def solve(field, a, b_vecs):
     """Solve A x = b; b_vecs is a list of columns.
 
-    A is given by its rows, at least one, and may have more rows than
-    unknowns.  Returns the list of solution columns, or None unless A has
-    full column rank and every b satisfies the rows beyond that rank.
+    A is a 2-D array or a list of rows, at least one, and may have more rows
+    than unknowns.  Returns the list of solution columns, or None unless A
+    has full column rank and every b satisfies the rows beyond that rank.
     """
-    n = len(a_rows[0])
-    m = np.array([list(r) + [bv[i] for bv in b_vecs]
-                  for i, r in enumerate(a_rows)], dtype=np.uint8)[:, :, None]
+    n = len(a[0])
+    m = np.column_stack((a, *b_vecs)).astype(np.uint8)[:, :, None]
     if eliminate(field, m, n)[0] < n:
         return None
     a, rhs = m[:, :n, 0], m[:, n:, 0]

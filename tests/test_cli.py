@@ -206,6 +206,16 @@ class TestReplayAndExitCodes:
                         "--granularity", "symbol"], tmp_path)
         assert code == 4
 
+    def test_unknown_erasure_unit_exit_3(self, tmp_path, capsys):
+        cfg = tmp_path / "unknown.json"
+        cfg.write_text(json.dumps({"code": {
+            "builder": "raid5", "params": {"n": 4}, "erasures": [7, 9],
+            "granularity": "column"}}))
+        assert run_cli(["code", "check", "--config", str(cfg)], tmp_path) == 3
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "domain"
+        assert "has no column 7" in err["detail"]
+
     def test_unknown_preset_exit_3(self, tmp_path):
         code = run_cli(["analyze", "queueing", "--preset", "nope"], tmp_path)
         assert code == 3

@@ -92,6 +92,21 @@ class TestRecoverability:
         with pytest.raises(ValueError, match="does not determine the checks"):
             encode(builders.raid5(4), {"d1": 1, "d2": 0})
 
+    @pytest.mark.parametrize("call", [
+        lambda c: is_recoverable(c, [7, 9], "column"),
+        lambda c: is_recoverable(c, ["d9"]),
+        lambda c: repair_plan(c, ["d1", "d9"]),
+        lambda c: repair_plan(c, [7], granularity="column"),
+        lambda c: verify_plan(c, ["d9"], ["d1", "d2"]),
+        lambda c: verify_plan(c, ["d1"], ["d2", "d3", "x"]),
+        lambda c: decode(c, {}, ["d9"]),
+    ], ids=["columns", "symbol", "plan", "plan-column", "verify-erased",
+            "verify-read", "decode"])
+    def test_unknown_units_rejected(self, call):
+        # raid5(4) has the symbols d1 d2 d3 p in columns 0-3
+        with pytest.raises(ValueError, match="^code raid5.* has no "):
+            call(builders.raid5(4))
+
     def test_xcode_each_block_two_diagonals(self):
         c = builders.xcode(7)
         for d in c.data_ids:
@@ -131,6 +146,19 @@ class TestTolerance:
         with pytest.raises(BudgetExceeded):
             erasure_tolerance(c, "symbol", budget=10)
 
+    @pytest.mark.parametrize("n,k,field", [
+        (6, 2, gf.GF2), (3, 1, gf.GF2), (18, 2, gf.GF16),
+    ], ids=["gf2", "gf2-edge", "gf16-edge"])
+    def test_raid4k_rejects_field_too_small(self, n, k, field):
+        # GF(2^w) has 2^w - 1 nonzero elements to weight the data with
+        with pytest.raises(ValueError, match="^field too small for %d data "
+                                             "symbols$" % (n - k)):
+            builders.raid4k(n, k, field=field)
+
+    def test_raid4k_fills_the_field(self):
+        assert builders.raid4k(2, 1, field=gf.GF2).k == 1
+        assert builders.raid4k(17, 2, field=gf.GF16).k == 15
+
     def test_raid4k_rejects_non_mds_generator(self):
         # over GF(16) the Vandermonde rows of raid4k(9, 4) are not MDS
         with pytest.raises(ValueError,
@@ -147,6 +175,13 @@ class TestFractions:
         frac, exact, counts = recoverable_fraction(c, 4, decoder="local-global")
         assert counts == (341, 495)
         assert frac == pytest.approx(0.6889, abs=5e-5)
+
+    def test_pyramid_12_local_global_counts(self):
+        c = builders.pyramid_12_2_2()
+        assert recoverable_fraction(c, 4, decoder="local-global")[2] == \
+            (2380, 2380)
+        assert recoverable_fraction(c, 5, decoder="local-global")[2] == \
+            (3179, 6188)
 
     def test_pyramid_joint_distinct_from_decoder(self):
         c = builders.pyramid_8_2_2()
@@ -442,6 +477,15 @@ class TestEnumeratorConsistency:
             assert loss_coefficients(code, granularity) == [1] + single
 
 
+def _rows(code):
+    """The code's equations, then its extra equations, as term tuples."""
+    return [terms for _, terms in code.equations] + list(code.extra_equations)
+
+
+def _mask(code, symbols):
+    return sum(1 << code._index[s] for s in set(symbols))
+
+
 class TestDerivedCache:
     @pytest.mark.parametrize("make,bits", [
         (lambda: builders.rdp(5), 1),
@@ -451,17 +495,14 @@ class TestDerivedCache:
     def test_cached_rows_and_columns_match_fresh(self, make, bits):
         code = make()
         assert code.field.w == bits
-        # a query first, so the cache is the one the enumerators filled
+        # a query first, so the forms are the ones the queries read
         assert is_recoverable(code, [code.symbols[0]])
-        assert list(code._rows) == code.parity_rows()
+        assert code._support == [_mask(code, (s for s, _ in terms))
+                                 for terms in _rows(code)]
+        assert sorted(code._column_masks, key=str) == code.columns()
         for col in code.columns():
-            assert code.column_symbols(col) == \
-                [s for s, c in code.column_map.items() if c == col]
-        # the public accessors hand out copies the caller may change
-        code.parity_rows()[0].clear()
-        code.column_symbols(code.columns()[0]).clear()
-        assert list(code._rows) == code.parity_rows()
-        assert code.column_symbols(code.columns()[0])
+            assert code._column_masks[col] == _mask(
+                code, (s for s, c in code.column_map.items() if c == col))
 
     @pytest.mark.parametrize("make", [
         lambda: builders.rdp(5), builders.was_lrc_6_2_2, builders.pmds_fig,
@@ -473,16 +514,36 @@ class TestDerivedCache:
         assert h.dtype == np.uint8
         assert h.shape == (len(code.equations) + len(code.extra_equations),
                            code.n)
-        assert h.tolist() == [[row.get(s, 0) for s in code.symbols]
-                              for row in code.parity_rows()]
+        assert h.tolist() == [[dict(terms).get(s, 0) for s in code.symbols]
+                              for terms in _rows(code)]
         assert [code._index[s] for s in code.symbols] == list(range(code.n))
 
     def test_cached_base_rows_match_base_view(self):
         code = builders.pyramid_8_2_2()
-        rows, stored = code._base_rows
-        assert list(rows) == [dict(eq) for eq in code.base_view["equations"]]
-        assert stored == set().union(*rows)
-        assert code._base_rows is code._base_rows
+        h, support, virtuals = code._base
+        view = code.base_view
+        ids = code.symbols + tuple(view["virtuals"])
+        assert h.tolist() == [[dict(eq).get(s, 0) for s in ids]
+                              for eq in view["equations"]]
+        assert support == [sum(1 << ids.index(s) for s, _ in eq)
+                           for eq in view["equations"]]
+        assert virtuals == [(1 << ids.index(vid),
+                             _mask(code, (s for s, _ in parts)))
+                            for vid, parts in view["virtuals"].items()]
+        assert code._base is code._base
+
+    @pytest.mark.parametrize("make", [
+        builders.was_lrc_6_2_2, builders.pyramid_8_2_2,
+    ], ids=["was_lrc", "pyramid"])
+    def test_shared_matrices_are_read_only(self, make):
+        code = make()
+        with pytest.raises(ValueError, match="read-only"):
+            code._H[0, 0] = 1
+        if code.base_view:
+            with pytest.raises(ValueError, match="read-only"):
+                code._base[0][0, 0] = 1
+        # queries slice copies, so they still run
+        assert is_recoverable(code, code.symbols[:2])
 
 
 SMALL_PARAMS = {
@@ -507,6 +568,12 @@ class TestSerialization:
             for pattern in combinations(sorted(code.symbols, key=str)[:6], 3):
                 assert codes.is_recoverable(back, pattern) == \
                     codes.is_recoverable(code, pattern)
+
+    def test_equation_on_unknown_symbol_rejected(self):
+        doc = codes.to_json(builders.raid5(4))
+        doc["equations"][0][1].append(["x", 1])
+        with pytest.raises(ValueError, match="^equation term 'x' is not a "):
+            codes.from_json(doc)
 
     def test_default_column_map_is_one_column_per_symbol(self):
         code = builders.raid5(4)

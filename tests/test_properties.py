@@ -240,3 +240,55 @@ class TestEliminationOracle:
         assert (x is None) == (rank < cols or not consistent)
         if x is not None:
             assert _times(field, a, x[0]) == b
+
+
+def _peeled(h, erased):
+    """Columns of `erased` left after repeatedly solving every row of `h`
+    with a single erased nonzero."""
+    erased = set(erased)
+    while True:
+        touch = [{j for j in erased if row[j]} for row in h]
+        solo = {next(iter(t)) for t in touch if len(t) == 1}
+        if not solo:
+            return erased
+        erased -= solo
+
+
+class TestSinglePatternQueries:
+    @given(field_matrices(st.integers(1, 5), lambda r: st.integers(1, 6)),
+           st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_peel_and_rank_match_minor_rank(self, fm, data):
+        # a code whose parity-check matrix is the drawn H, one symbol per
+        # column; rows without a nonzero are equations with no terms
+        field, h = fm
+        names = tuple("s%d" % j for j in range(len(h[0])))
+        code = codes.CodeSpec(
+            name="drawn", field=field, data_ids=names, check_ids=(),
+            equations=(), extra_equations=tuple(
+                tuple((s, c) for s, c in zip(names, row) if c)
+                for row in h))
+        columns = st.sets(st.integers(0, len(names) - 1))
+        pattern = sorted(data.draw(columns))
+        erased = [names[j] for j in pattern]
+        mask = sum(1 << j for j in pattern)
+        assert codes._peel(code._support, mask) == \
+            sum(1 << j for j in _peeled(h, pattern))
+        want = _minor_rank(field, [[row[j] for j in pattern]
+                                   for row in h]) == len(pattern)
+        assert codes.is_recoverable(code, erased) == want
+        if want:
+            plan = codes.repair_plan(code, erased, exact_limit=0)
+            assert not plan.optimal  # the greedy cover
+            assert codes.verify_plan(code, erased, plan.reads)
+        # reads suffice iff the unread survivors U leave the erased E
+        # determined: rank(H[:, E + U]) == |E| + rank(H[:, U])
+        reads = data.draw(columns)
+        unread = [j for j in range(len(names))
+                  if j not in reads and j not in pattern]
+
+        def minor_rank(cols):
+            return _minor_rank(field, [[row[j] for j in cols] for row in h])
+
+        assert codes.verify_plan(code, erased, [names[j] for j in reads]) == \
+            (minor_rank(pattern + unread) == len(pattern) + minor_rank(unread))
