@@ -16,7 +16,6 @@ through the same kernel as a batch of one.
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property, reduce
 from fractions import Fraction
 from itertools import chain, combinations, islice, product
 
@@ -79,6 +78,21 @@ class CodeSpec:
         for s, col in self.column_map.items():
             self._column_masks[col] = \
                 self._column_masks.get(col, 0) | 1 << self._index[s]
+        # the base view over the symbols followed by its virtual symbols: the
+        # matrix, its row supports, their union, and (bit, mask of its parts)
+        # for each virtual symbol
+        self._base = None
+        if self.base_view:
+            virtuals = self.base_view["virtuals"]
+            index = dict(self._index)
+            index.update((vid, self.n + i) for i, vid in enumerate(virtuals))
+            h, support = _compile(self.base_view["equations"], index)
+            parts = [(1 << index[vid], _expand(self, (s for s, _ in terms),
+                                               "symbol"))
+                     for vid, terms in virtuals.items()]
+            stored = sum(1 << j
+                         for j in np.flatnonzero(h.any(axis=0)).tolist())
+            self._base = h, support, stored, parts
 
     @property
     def symbols(self):
@@ -94,20 +108,6 @@ class CodeSpec:
 
     def columns(self):
         return sorted(set(self.column_map.values()), key=str)
-
-    @cached_property
-    def _base(self):
-        """The base view compiled over the symbols followed by its virtual
-        symbols: the matrix, its row supports, and (bit, mask of its parts)
-        for each virtual symbol."""
-        virtuals = self.base_view["virtuals"]
-        index = dict(self._index)
-        index.update((vid, self.n + i) for i, vid in enumerate(virtuals))
-        h, support = _compile(self.base_view["equations"], index)
-        parts = [(1 << index[vid], _expand(self, (s for s, _ in terms),
-                                           "symbol"))
-                 for vid, terms in virtuals.items()]
-        return h, support, parts
 
 
 def _compile(rows, index):
@@ -209,8 +209,7 @@ def _base_view_recoverable(code, erased):
     parities) count as erased while any of their constituents is erased; when
     the base system determines all its unknowns, everything else peels.
     """
-    h, support, virtuals = code._base
-    stored = reduce(operator.or_, support, 0)
+    h, support, stored, virtuals = code._base
     while True:
         # phase 1: peel own equations (local repairs)
         erased = _peel(code._support, erased)
@@ -536,9 +535,10 @@ def grid_compose(row_factory, col_factory, k1, k2):
     identities by construction.
     """
     row_proto = row_factory(k2)
+    col_rows = k1
     row_checks = len(row_proto.check_ids)
     width = k2 + row_checks
-    col_proto = col_factory(k1)
+    col_proto = col_factory(col_rows)
     col_checks = len(col_proto.check_ids)
 
     def cell(i, j):

@@ -222,19 +222,19 @@ def shifted_layout(n, g, periods=1, parity_position=None):
         raise ValueError("need N >= G >= 2")
     if parity_position is None:
         parity_position = "first" if math.gcd(n, g) == 1 else "last"
-    seg_len = math.lcm(n, g) // n
+    k_rows = math.lcm(n, g) // n
     variants = math.gcd(n, g)
-    rows = seg_len * variants * periods
+    rows = k_rows * variants * periods
     base = _initial_allocation(n, g, rows, parity_position)
     assignment = [[None] * n for _ in range(rows)]
-    for seg in range(rows // seg_len):
+    for seg in range(rows // k_rows):
         shift = seg % variants
-        for r in range(seg * seg_len, (seg + 1) * seg_len):
+        for r in range(seg * k_rows, (seg + 1) * k_rows):
             for j in range(n):
-                idx = (r - seg * seg_len) * n + j
-                src = (idx + shift) % (seg_len * n)
+                idx = (r - seg * k_rows) * n + j
+                src = (idx + shift) % (k_rows * n)
                 sr, sj = divmod(src, n)
-                assignment[r][j] = base[seg * seg_len + sr][sj]
+                assignment[r][j] = base[seg * k_rows + sr][sj]
     layout = LayoutMap(disks=n, group_size=g, rows=rows,
                        assignment=assignment, name="shifted(%d,%d)" % (n, g))
     bad = layout.distinct_disk_violations()

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -520,17 +521,19 @@ class TestDerivedCache:
 
     def test_cached_base_rows_match_base_view(self):
         code = builders.pyramid_8_2_2()
-        h, support, virtuals = code._base
+        h, support, stored, virtuals = code._base
         view = code.base_view
         ids = code.symbols + tuple(view["virtuals"])
         assert h.tolist() == [[dict(eq).get(s, 0) for s in ids]
                               for eq in view["equations"]]
         assert support == [sum(1 << ids.index(s) for s, _ in eq)
                            for eq in view["equations"]]
+        assert stored == sum(1 << ids.index(s) for s in
+                             {s for eq in view["equations"] for s, _ in eq})
         assert virtuals == [(1 << ids.index(vid),
                              _mask(code, (s for s, _ in parts)))
                             for vid, parts in view["virtuals"].items()]
-        assert code._base is code._base
+        assert builders.raid5(4)._base is None
 
     @pytest.mark.parametrize("make", [
         builders.was_lrc_6_2_2, builders.pyramid_8_2_2,
@@ -574,6 +577,16 @@ class TestSerialization:
         doc["equations"][0][1].append(["x", 1])
         with pytest.raises(ValueError, match="^equation term 'x' is not a "):
             codes.from_json(doc)
+
+    def test_base_view_on_unknown_symbol_rejected(self):
+        code = builders.pyramid_8_2_2()
+        view = code.base_view
+        bad_term = {**view, "equations": view["equations"] + ((("x", 1),),)}
+        with pytest.raises(ValueError, match="^equation term 'x' is not a "):
+            replace(code, base_view=bad_term)
+        bad_part = {**view, "virtuals": {"p1": (("c1_1", 1), ("y", 1))}}
+        with pytest.raises(ValueError, match="has no symbol 'y'"):
+            replace(code, base_view=bad_part)
 
     def test_default_column_map_is_one_column_per_symbol(self):
         code = builders.raid5(4)
