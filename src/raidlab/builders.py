@@ -2,7 +2,8 @@
 
 Each builder returns a CodeSpec whose encode is consistent (every equation
 balances after check computation); builders with free parameters validate
-them (primality, divisibility) and raise ValueError otherwise.
+them (primality, divisibility) and raise ValueError otherwise.  The GF(2)
+builders state only their parity groups and placement maps, through `_xor`.
 """
 
 from dataclasses import replace
@@ -23,19 +24,28 @@ def _is_prime(p):
     return True
 
 
+def _xor(name, data, groups, column_map=None, row_map=None):
+    """A GF(2) code over `data` whose checks each XOR one parity group:
+    `groups` maps each check, in order, to the symbols it covers, and the
+    check is the last term of its own equation."""
+    return CodeSpec(
+        name=name,
+        field=gf.GF2,
+        data_ids=tuple(data),
+        check_ids=tuple(groups),
+        equations=tuple((c, tuple((s, 1) for s in g) + ((c, 1),))
+                        for c, g in groups.items()),
+        column_map=column_map,
+        row_map=row_map,
+    )
+
+
 def raid5(n):
     """Single-parity stripe over n disks: P = D_1 xor ... xor D_{n-1}."""
     if n < 3:
         raise ValueError("raid5 needs at least 3 disks")
     data = tuple("d%d" % i for i in range(1, n))
-    terms = tuple((d, 1) for d in data) + (("p", 1),)
-    return CodeSpec(
-        name="raid5(%d)" % n,
-        field=gf.GF2,
-        data_ids=data,
-        check_ids=("p",),
-        equations=(("p", terms),),
-    )
+    return _xor("raid5(%d)" % n, data, {"p": data})
 
 
 def raid4k(n, k, field=gf.GF256):
@@ -81,33 +91,16 @@ def rdp(p):
     def cell(i, j):
         return "d%d_%d" % (i, j)
 
-    data = tuple(cell(i, j) for i in range(rows) for j in range(p - 1))
-    rowpar = tuple(cell(i, p - 1) for i in range(rows))
-    diagpar = tuple(cell(i, p) for i in range(rows))
-    equations = []
-    for i in range(rows):
-        terms = tuple((cell(i, j), 1) for j in range(p - 1)) + ((cell(i, p - 1), 1),)
-        equations.append((cell(i, p - 1), terms))
-    for k in range(p - 1):
-        members = [(cell(i, j), 1)
-                   for i in range(rows) for j in range(p)
-                   if (i + j) % p == k]
-        equations.append((cell(k, p), tuple(members) + ((cell(k, p), 1),)))
-    column_map = {}
-    row_map = {}
-    for i in range(rows):
-        for j in range(p + 1):
-            column_map[cell(i, j)] = j
-            row_map[cell(i, j)] = i
-    return CodeSpec(
-        name="rdp(%d)" % p,
-        field=gf.GF2,
-        data_ids=data,
-        check_ids=rowpar + diagpar,
-        equations=tuple(equations),
-        column_map=column_map,
-        row_map=row_map,
-    )
+    groups = {cell(i, p - 1): [cell(i, j) for j in range(p - 1)]
+              for i in range(rows)}
+    groups.update((cell(k, p), [cell(i, j) for i in range(rows)
+                                for j in range(p) if (i + j) % p == k])
+                  for k in range(p - 1))
+    cells = [(i, j) for i in range(rows) for j in range(p + 1)]
+    return _xor("rdp(%d)" % p,
+                [cell(i, j) for i in range(rows) for j in range(p - 1)],
+                groups, {cell(i, j): j for i, j in cells},
+                {cell(i, j): i for i, j in cells})
 
 
 def xcode(n):
@@ -123,44 +116,22 @@ def xcode(n):
     def cell(i, j):
         return "b%d_%d" % (i, j)
 
-    data = tuple(cell(i, j) for i in range(n - 2) for j in range(n))
-    pchecks = tuple(cell(n - 2, i) for i in range(n))
-    qchecks = tuple(cell(n - 1, i) for i in range(n))
-    equations = []
-    for i in range(n):
-        terms = tuple((cell(k, (i - k - 2) % n), 1) for k in range(n - 2))
-        equations.append((cell(n - 2, i), terms + ((cell(n - 2, i), 1),)))
-    for i in range(n):
-        terms = tuple((cell(k, (i + k + 2) % n), 1) for k in range(n - 2))
-        equations.append((cell(n - 1, i), terms + ((cell(n - 1, i), 1),)))
-    column_map = {}
-    row_map = {}
-    for i in range(n):
-        for j in range(n):
-            column_map[cell(i, j)] = j
-            row_map[cell(i, j)] = i
-    return CodeSpec(
-        name="xcode(%d)" % n,
-        field=gf.GF2,
-        data_ids=data,
-        check_ids=pchecks + qchecks,
-        equations=tuple(equations),
-        column_map=column_map,
-        row_map=row_map,
-    )
+    groups = {cell(n - 2, i): [cell(k, (i - k - 2) % n) for k in range(n - 2)]
+              for i in range(n)}
+    groups.update((cell(n - 1, i), [cell(k, (i + k + 2) % n)
+                                    for k in range(n - 2)])
+                  for i in range(n))
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    return _xor("xcode(%d)" % n,
+                [cell(i, j) for i in range(n - 2) for j in range(n)],
+                groups, {cell(i, j): j for i, j in cells},
+                {cell(i, j): i for i, j in cells})
 
 
 def spc(n_data):
     """Single parity check stripe (the 1-D building block for grids)."""
     data = tuple("u%d" % i for i in range(n_data))
-    terms = tuple((d, 1) for d in data) + (("v", 1),)
-    return CodeSpec(
-        name="spc(%d)" % n_data,
-        field=gf.GF2,
-        data_ids=data,
-        check_ids=("v",),
-        equations=(("v", terms),),
-    )
+    return _xor("spc(%d)" % n_data, data, {"v": data})
 
 
 def hvpc(k1, k2):
@@ -180,38 +151,20 @@ def rm2(n=7, m=3):
     pairs_row2 = [((j + 1) % 7, (j + 4) % 7) for j in range(7)]
     column_map = {}
     row_map = {}
-    data = []
-    groups = {i: [] for i in range(7)}
-    for col, (a, b) in enumerate(pairs_row1):
-        s = "d%d_%d" % (min(a, b), max(a, b))
-        data.append(s)
-        column_map[s] = col
-        row_map[s] = 0
-        groups[a].append(s)
-        groups[b].append(s)
-    for col, (a, b) in enumerate(pairs_row2):
-        s = "e%d_%d" % (min(a, b), max(a, b))
-        data.append(s)
-        column_map[s] = col
-        row_map[s] = 1
-        groups[a].append(s)
-        groups[b].append(s)
-    checks = tuple("P%d" % i for i in range(7))
-    equations = []
+    groups = {"P%d" % i: [] for i in range(7)}
+    for row, (prefix, pairs) in enumerate((("d", pairs_row1),
+                                           ("e", pairs_row2))):
+        for col, (a, b) in enumerate(pairs):
+            s = "%s%d_%d" % (prefix, min(a, b), max(a, b))
+            column_map[s] = col
+            row_map[s] = row
+            groups["P%d" % a].append(s)
+            groups["P%d" % b].append(s)
+    data = list(column_map)
     for i in range(7):
         column_map["P%d" % i] = i
         row_map["P%d" % i] = 2
-        terms = tuple((s, 1) for s in groups[i]) + (("P%d" % i, 1),)
-        equations.append(("P%d" % i, terms))
-    return CodeSpec(
-        name="rm2(7,3)",
-        field=gf.GF2,
-        data_ids=tuple(data),
-        check_ids=checks,
-        equations=tuple(equations),
-        column_map=column_map,
-        row_map=row_map,
-    )
+    return _xor("rm2(7,3)", data, groups, column_map, row_map)
 
 
 def _lrc(name, groups, local_ids, global_ids):
@@ -418,99 +371,49 @@ def lsi(n=8):
     """Ring of data disks with pairwise-XOR parity disks between them."""
     if n != 8:
         raise ValueError("lsi fixture is defined for N=8")
-    data = ("A", "B", "C", "D")
-    checks = ("AB", "BC", "CD", "DA")
-    equations = []
-    for i, c in enumerate(checks):
-        a = data[i]
-        b = data[(i + 1) % 4]
-        equations.append((c, ((a, 1), (b, 1), (c, 1))))
+    # data and checks alternate round the ring; each check is named by the
+    # two data disks it XORs
     syms = ("A", "AB", "B", "BC", "C", "CD", "D", "DA")
-    return CodeSpec(
-        name="lsi(8)",
-        field=gf.GF2,
-        data_ids=data,
-        check_ids=checks,
-        equations=tuple(equations),
-        column_map={s: i for i, s in enumerate(syms)},
-    )
+    return _xor("lsi(8)", syms[::2], {c: tuple(c) for c in syms[1::2]},
+                {s: i for i, s in enumerate(syms)})
 
 
 def sspiral(n=8):
     """Ring of data disks with three-way XOR parities."""
     if n != 8:
         raise ValueError("sspiral fixture is defined for N=8")
-    data = ("A", "B", "C", "D")
-    checks = ("ABC", "BCD", "CDA", "DAB")
-    equations = []
-    for i, c in enumerate(checks):
-        members = [data[(i + k) % 4] for k in range(3)]
-        equations.append((c, tuple((m, 1) for m in members) + ((c, 1),)))
-    return CodeSpec(
-        name="sspiral(8)",
-        field=gf.GF2,
-        data_ids=data,
-        check_ids=checks,
-        equations=tuple(equations),
-    )
+    # each check is named by the data disks it XORs
+    return _xor("sspiral(8)", ("A", "B", "C", "D"),
+                {c: tuple(c) for c in ("ABC", "BCD", "CDA", "DAB")})
 
 
 def mds42():
     """Four nodes with two blocks each; two data nodes, two coded nodes."""
-    data = ("A1", "A2", "B1", "B2")
-    checks = ("c1", "c2", "c3", "c4")
-    equations = (
-        ("c1", (("A1", 1), ("B1", 1), ("c1", 1))),
-        ("c2", (("A2", 1), ("B2", 1), ("c2", 1))),
-        ("c3", (("A2", 1), ("B1", 1), ("c3", 1))),
-        ("c4", (("A1", 1), ("A2", 1), ("B2", 1), ("c4", 1))),
-    )
+    groups = {"c1": ("A1", "B1"), "c2": ("A2", "B2"), "c3": ("A2", "B1"),
+              "c4": ("A1", "A2", "B2")}
     column_map = {"A1": 0, "A2": 0, "B1": 1, "B2": 1,
                   "c1": 2, "c2": 2, "c3": 3, "c4": 3}
-    return CodeSpec(
-        name="mds42",
-        field=gf.GF2,
-        data_ids=data,
-        check_ids=checks,
-        equations=equations,
-        column_map=column_map,
-    )
+    return _xor("mds42", ("A1", "A2", "B1", "B2"), groups, column_map)
 
 
 def resar_small():
     """Small bipartite layout: every data disklet is in one row parity group
     and one (wrapping) diagonal parity group."""
-    cells = []
-    for i in range(10):
-        width = 4 if i < 9 else 2
-        for j in range(2, 2 + width):
-            cells.append((i, j))
-    data = tuple("n%d" % (6 * i + j) for i, j in cells)
-    prow = tuple("P%d" % i for i in range(10))
-    pdiag = tuple("D%d" % t for t in range(10))
-    equations = []
-    for i in range(10):
-        members = [("n%d" % (6 * i + j), 1) for (ii, j) in cells if ii == i]
-        equations.append((prow[i], tuple(members) + ((prow[i], 1),)))
-    for t in range(10):
-        members = [("n%d" % (6 * i + j), 1) for (i, j) in cells
-                   if (i + j - 2) % 10 == t]
-        equations.append((pdiag[t], tuple(members) + ((pdiag[t], 1),)))
-    column_map = {}
-    for (i, j) in cells:
-        column_map["n%d" % (6 * i + j)] = j
-    for i, s in enumerate(prow):
-        column_map[s] = 6
-    for t, s in enumerate(pdiag):
-        column_map[s] = 0
-    return CodeSpec(
-        name="resar_small",
-        field=gf.GF2,
-        data_ids=data,
-        check_ids=prow + pdiag,
-        equations=tuple(equations),
-        column_map=column_map,
-    )
+    # disklet (i, j) sits in row i and column j: columns 2..5, 2..3 in row 9
+    cells = [(i, j) for i in range(10) for j in range(2, 6 if i < 9 else 4)]
+
+    def cell(i, j):
+        return "n%d" % (6 * i + j)
+
+    groups = {"P%d" % r: [cell(i, j) for i, j in cells if i == r]
+              for r in range(10)}
+    groups.update(("D%d" % t, [cell(i, j) for i, j in cells
+                               if (i + j - 2) % 10 == t]) for t in range(10))
+    column_map = {cell(i, j): j for i, j in cells}
+    # row parities on column 6, diagonal parities on column 0
+    column_map.update((c, 6 if c[0] == "P" else 0) for c in groups)
+    return _xor("resar_small", [cell(i, j) for i, j in cells], groups,
+                column_map)
 
 
 def parity2d():
@@ -520,69 +423,36 @@ def parity2d():
         "D1": (1, 2), "D2": (2, 4), "D3": (1, 3), "D4": (3, 4), "D5": (2, 5),
         "D6": (4, 5), "D7": (3, 5), "D8": (1, 5), "D9": (2, 3), "D10": (1, 4),
     }
-    groups = {g: [] for g in range(1, 6)}
-    for d, (a, b) in pairs.items():
-        groups[a].append(d)
-        groups[b].append(d)
-    data = tuple(sorted(pairs, key=lambda s: int(s[1:])))
-    checks = tuple("P%d" % g for g in range(1, 6))
-    equations = []
-    for g in range(1, 6):
-        terms = tuple((d, 1) for d in sorted(groups[g])) + (("P%d" % g, 1),)
-        equations.append(("P%d" % g, terms))
-    return CodeSpec(
-        name="parity2d",
-        field=gf.GF2,
-        data_ids=data,
-        check_ids=checks,
-        equations=tuple(equations),
-    )
+    return _xor("parity2d", pairs,
+                {"P%d" % g: sorted(d for d, pair in pairs.items() if g in pair)
+                 for g in range(1, 6)})
 
 
 def parity3d():
     """Six data disks, nine pair parity groups; every disk has three
     parities (one vertical, two diagonal)."""
-    members = [
-        ("P1", ("D1", "D4")), ("P2", ("D2", "D5")), ("P3", ("D3", "D6")),
-        ("P4", ("D1", "D3")), ("P5", ("D1", "D2")), ("P6", ("D2", "D3")),
-        ("P7", ("D4", "D6")), ("P8", ("D4", "D5")), ("P9", ("D5", "D6")),
-    ]
-    data = tuple("D%d" % i for i in range(1, 7))
-    checks = tuple(p for p, _ in members)
-    equations = [(p, tuple((d, 1) for d in ds) + ((p, 1),))
-                 for p, ds in members]
-    return CodeSpec(
-        name="parity3d",
-        field=gf.GF2,
-        data_ids=data,
-        check_ids=checks,
-        equations=tuple(equations),
-    )
+    groups = {
+        "P1": ("D1", "D4"), "P2": ("D2", "D5"), "P3": ("D3", "D6"),
+        "P4": ("D1", "D3"), "P5": ("D1", "D2"), "P6": ("D2", "D3"),
+        "P7": ("D4", "D6"), "P8": ("D4", "D5"), "P9": ("D5", "D6"),
+    }
+    return _xor("parity3d", ["D%d" % i for i in range(1, 7)], groups)
 
 
 def xcode_with_spc(p):
     """X-code array protected by one extra single-parity row per column."""
     base = xcode(p)
-    equations = list(base.equations)
-    checks = list(base.check_ids)
+    # X-code's own groups: each equation less its check, the last term
+    groups = {c: [s for s, _ in terms[:-1]] for c, terms in base.equations}
     column_map = dict(base.column_map)
     row_map = dict(base.row_map)
     for j in range(p):
         s = "sp%d" % j
-        members = [sym for sym in base.symbols if base.column_map[sym] == j]
-        equations.append((s, tuple((m, 1) for m in members) + ((s, 1),)))
-        checks.append(s)
+        groups[s] = [sym for sym in base.symbols if base.column_map[sym] == j]
         column_map[s] = j
         row_map[s] = p
-    return CodeSpec(
-        name="xcode_spc(%d)" % p,
-        field=gf.GF2,
-        data_ids=base.data_ids,
-        check_ids=tuple(checks),
-        equations=tuple(equations),
-        column_map=column_map,
-        row_map=row_map,
-    )
+    return _xor("xcode_spc(%d)" % p, base.data_ids, groups, column_map,
+                row_map)
 
 
 def mirrored_org(org, n, clusters=2):
@@ -592,70 +462,36 @@ def mirrored_org(org, n, clusters=2):
     "grd" (group rotate), "cd" (chained).  Used as enumeration oracles for
     the closed-form survivable-set coefficients.
     """
-    equations = []
-    data = []
-    checks = []
-    column_map = {}
+    # (primary, its column, mirror, its column), one tuple per mirrored chunk
     if org == "bm":
         if n % 2:
             raise ValueError("bm needs even N")
-        for i in range(n // 2):
-            a, b = "a%d" % i, "a%d_m" % i
-            data.append(a)
-            checks.append(b)
-            column_map[a] = 2 * i
-            column_map[b] = 2 * i + 1
-            equations.append((b, ((a, 1), (b, 1))))
+        chunks = [("a%d" % i, 2 * i, "a%d_m" % i, 2 * i + 1)
+                  for i in range(n // 2)]
     elif org == "id":
-        c = clusters
-        if n % c:
+        if n % clusters:
             raise ValueError("id needs c | N")
-        per = n // c
-        for cl in range(c):
-            disks = [cl * per + d for d in range(per)]
-            for i in disks:
-                for j in disks:
-                    if i == j:
-                        continue
-                    a = "p%d_%d" % (i, j)
-                    b = "s%d_%d" % (i, j)
-                    data.append(a)
-                    checks.append(b)
-                    column_map[a] = i
-                    column_map[b] = j
-                    equations.append((b, ((a, 1), (b, 1))))
+        per = n // clusters
+        chunks = [("p%d_%d" % (i, j), i, "s%d_%d" % (i, j), j)
+                  for cl in range(clusters)
+                  for i in range(cl * per, (cl + 1) * per)
+                  for j in range(cl * per, (cl + 1) * per) if i != j]
     elif org == "grd":
         if n % 2:
             raise ValueError("grd needs even N")
         m = n // 2
-        for i in range(m):
-            for r in range(m):
-                a = "p%d_%d" % (i, r)
-                b = "s%d_%d" % (i, r)
-                data.append(a)
-                checks.append(b)
-                column_map[a] = i
-                column_map[b] = m + (i + r) % m
-                equations.append((b, ((a, 1), (b, 1))))
+        chunks = [("p%d_%d" % (i, r), i, "s%d_%d" % (i, r), m + (i + r) % m)
+                  for i in range(m) for r in range(m)]
     elif org == "cd":
-        for i in range(n):
-            a = "p%d" % i
-            b = "s%d" % i
-            data.append(a)
-            checks.append(b)
-            column_map[a] = i
-            column_map[b] = (i + 1) % n
-            equations.append((b, ((a, 1), (b, 1))))
+        chunks = [("p%d" % i, i, "s%d" % i, (i + 1) % n) for i in range(n)]
     else:
         raise ValueError("unknown mirrored organization %r" % (org,))
-    return CodeSpec(
-        name="%s(%d)" % (org, n),
-        field=gf.GF2,
-        data_ids=tuple(data),
-        check_ids=tuple(checks),
-        equations=tuple(equations),
-        column_map=column_map,
-    )
+    column_map = {}
+    for a, col_a, b, col_b in chunks:
+        column_map[a] = col_a
+        column_map[b] = col_b
+    return _xor("%s(%d)" % (org, n), [a for a, _, _, _ in chunks],
+                {b: (a,) for a, _, b, _ in chunks}, column_map)
 
 
 BUILDERS = {

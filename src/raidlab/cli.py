@@ -162,7 +162,7 @@ def cmd_analyze(args):
             report.add("eafdl_%s" % placement, rate, "1/year-fraction",
                        provenance="placement-closed-form")
     elif args.what == "ctmc":
-        ccfg = scenario["ctmc"]
+        ccfg = _need(scenario, "ctmc", "scenario")
         chain = ctmcmod.build_ctmc(
             [(a, b, float(r)) for a, b, r in ccfg["transitions"]],
             absorbing=ccfg["absorbing"],
@@ -244,11 +244,13 @@ def _layout_from_config(lcfg):
     if kind == "bibd-10-4":
         return declustering.bibd_10_4_2()
     if kind == "nrp":
-        return declustering.nrp_layout(lcfg["disks"], lcfg["group"],
+        return declustering.nrp_layout(_need(lcfg, "disks", "layout"),
+                                       _need(lcfg, "group", "layout"),
                                        rows=lcfg.get("rows"),
                                        seed=lcfg.get("seed", 0))
     if kind == "shifted":
-        return declustering.shifted_layout(lcfg["disks"], lcfg["group"])
+        return declustering.shifted_layout(_need(lcfg, "disks", "layout"),
+                                           _need(lcfg, "group", "layout"))
     raise DomainError("unknown layout kind %r" % (kind,))
 
 

@@ -512,6 +512,10 @@ def _solve(code, unknown, values):
     cols = _bits(unknown)
     known = _bits(((1 << code.n) - 1) & ~unknown)
     symbols = code.symbols
+    missing = [symbols[j] for j in known if symbols[j] not in values]
+    if missing:
+        raise ValueError("no value given for the surviving symbols %s"
+                         % ", ".join(map(str, missing)))
     x = np.array([values[symbols[j]] for j in known], dtype=np.uint8)
     # the known terms move right: in characteristic 2, with the same sign
     mul, _ = code.field.tables

@@ -426,6 +426,18 @@ def _batch_ci(values, n_batches, level):
     return confidence(batches, level)
 
 
+class _QueueParams(dict):
+    """A queue model's params: a key the model reads and the dict lacks is
+    a ValueError that names it."""
+
+    def __init__(self, model, params):
+        super().__init__(params)
+        self.model = model
+
+    def __missing__(self, key):
+        raise ValueError("%s queue needs params %r" % (self.model, key))
+
+
 def sim_queue(model, params, n_customers=200_000, warmup=10_000, seed=0,
               level=0.95, n_batches=20):
     """Event-driven single-server (or fork-join) queue statistics.
@@ -434,6 +446,7 @@ def sim_queue(model, params, n_customers=200_000, warmup=10_000, seed=0,
     params is a dict; common keys: arrival_rate (1/ms), service spec.
     Returns a dict with mean wait/response and batch-means CIs.
     """
+    params = _QueueParams(model, params)
     rng = _rng(seed)
     if model == "mg1":
         lam = params["arrival_rate"]

@@ -227,7 +227,15 @@ class TestReplayAndExitCodes:
                                      "tolerance": 1}}, "components"),
         ("analyze mttdl", {"reliability": {"model": "chen", "disks": 8,
                                            "mttf_hours": 1000}}, "data"),
-    ], ids=["hraid-extra-key", "generic-missing-key", "chen-missing-key"])
+        ("analyze ctmc", {}, "ctmc"),
+        ("layout gen", {"layout": {"kind": "nrp", "disks": 10}}, "group"),
+        ("layout verify", {"layout": {"kind": "shifted", "group": 4}},
+         "disks"),
+        ("sim queue", {"sim": {"model": "mg1",
+                               "params": {"arrival_rate": 0.05}}}, "service"),
+    ], ids=["hraid-extra-key", "generic-missing-key", "chen-missing-key",
+            "ctmc-missing-section", "nrp-missing-group",
+            "shifted-missing-disks", "mg1-missing-param"])
     def test_schema_valid_key_mismatch_exit_3(self, tmp_path, capsys,
                                               command, doc, key):
         validate_scenario(doc)

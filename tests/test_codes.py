@@ -93,6 +93,11 @@ class TestRecoverability:
         with pytest.raises(ValueError, match="does not determine the checks"):
             encode(builders.raid5(4), {"d1": 1, "d2": 0})
 
+    def test_decode_without_a_survivor_value(self):
+        # d3 and p survive the loss of d2, but only d1 has a value
+        with pytest.raises(ValueError, match="surviving symbols d3, p$"):
+            decode(builders.raid5(4), {"d1": 1}, ["d2"])
+
     @pytest.mark.parametrize("call", [
         lambda c: is_recoverable(c, [7, 9], "column"),
         lambda c: is_recoverable(c, ["d9"]),
