@@ -28,11 +28,12 @@ print("mean time to absorption %.4e h (closed form %.4e h)"
       % (total, closed))
 print("occupancies:", {k: "%.3e" % v for k, v in per_state.items()})
 
-# %% Transients: the uniformized series gives the full distribution at any
-# time; reliability is one minus the absorbed mass.
-for t in (1e3, 1e5, closed):
-    pi = transient_uniformization(chain, t)
-    print("t = %9.3g h   still alive %.6f" % (t, 1 - pi[-1]))
+# %% Transients: uniformization gives the full distribution at any time.
+# Reliability is the mass still on the transient states, read from one
+# curve that carries the distribution forward over the sorted times.
+times = (1e3, 1e5, closed)
+for t, alive in zip(times, reliability_curve(chain, times)):
+    print("t = %9.3g h   still alive %.6f" % (t, alive))
 
 # %% The truncated power series agrees on short horizons and reports its
 # own truncation bound; round-off is not in that bound and can exceed it.

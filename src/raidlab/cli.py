@@ -171,8 +171,8 @@ def cmd_analyze(args):
         report.add("mtta", total, "hours", provenance="linear-solve")
         for state, p in sorted(probs.items(), key=lambda kv: str(kv[0])):
             report.add("absorb_prob[%s]" % state, p, "")
-        for t in ccfg.get("times", []):
-            r_t = ctmcmod.reliability_curve(chain, [t])[0]
+        times = ccfg.get("times", [])
+        for t, r_t in zip(times, ctmcmod.reliability_curve(chain, times)):
             report.add("reliability[t=%g]" % t, r_t, "",
                        provenance="uniformization")
     else:

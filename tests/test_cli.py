@@ -292,6 +292,27 @@ class TestMoreCommands:
         metrics = {r["metric"]: r["value"] for r in doc["rows"]}
         assert metrics["mtta"] == pytest.approx(2.0)
 
+    def test_analyze_ctmc_curve_rows_keep_order(self, tmp_path):
+        from raidlab.ctmc import build_ctmc, reliability_curve
+        spec = {"transitions": [["ok", "deg", 0.3], ["deg", "ok", 2.0],
+                                ["deg", "lost", 0.2]],
+                "absorbing": ["lost"], "initial": {"ok": 1.0},
+                "times": [50.0, 2.5, 0.0, 50.0, 10.0]}
+        cfg = tmp_path / "ch.json"
+        cfg.write_text(json.dumps({"version": "1", "ctmc": spec}))
+        assert run_cli(["analyze", "ctmc", "--config", str(cfg),
+                        "--out", "ch"], tmp_path) == 0
+        rows = [r for r in json.loads((tmp_path / "ch.json").read_text())
+                ["rows"] if r["metric"].startswith("reliability")]
+        chain = build_ctmc([tuple(e) for e in spec["transitions"]],
+                           absorbing=spec["absorbing"],
+                           initial=spec["initial"])
+        assert [r["metric"] for r in rows] == \
+            ["reliability[t=%g]" % t for t in spec["times"]]
+        for r, t in zip(rows, spec["times"]):
+            want = reliability_curve(chain, [t])[0]
+            assert r["value"] == pytest.approx(want, rel=1e-12, abs=1e-15)
+
     def test_sim_queue_config(self, tmp_path):
         cfg = tmp_path / "q.json"
         cfg.write_text(json.dumps({

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
+from raidlab import ctmc
 from raidlab.ctmc import (
     build_ctmc, mean_time_to_absorption, mttf_by_quadrature,
     reliability_curve, transient_series, transient_uniformization,
@@ -34,6 +37,13 @@ class TestBuild:
         chain = build_ctmc([], absorbing=["only"], states=["only"],
                            initial={"only": 1.0})
         assert chain.q.shape == (1, 1)
+
+    def test_unknown_state_is_a_value_error(self):
+        chain = build_ctmc([("a", "b", 1.0)], absorbing=["b"])
+        assert chain.index("b") == 1
+        for state in ("c", ["a"]):
+            with pytest.raises(ValueError):
+                chain.index(state)
 
     def test_duplex_coverage_edges(self):
         chain = duplex_coverage_chain(DELTA, MU, 0.95)
@@ -223,3 +233,94 @@ class TestSeriesEdgeCases:
         got, bound = transient_series(chain, 0.0, 5)
         assert np.allclose(got, chain.initial)
         assert bound == 0.0
+
+
+@st.composite
+def absorbing_chains(draw):
+    """Up to 8 states, the last one or two absorbing, rates 1e-6 to 1e2."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    n_abs = draw(st.integers(min_value=1, max_value=min(2, n - 1)))
+    edges = []
+    for a in range(n - n_abs):
+        for b in range(n):
+            if b != a and draw(st.booleans()):
+                edges.append((a, b, 10.0 ** draw(st.floats(-6.0, 2.0))))
+    return build_ctmc(edges, absorbing=range(n - n_abs, n),
+                      states=range(n), initial={0: 1.0})
+
+
+class TestTransientPaths:
+    """Vector steps and squaring, each against scipy's expm."""
+
+    @given(absorbing_chains(),
+           st.lists(st.floats(0.0, 2.0), min_size=1, max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_paths_and_curve_match_expm(self, chain, drawn):
+        times = drawn + [0.0, drawn[0]]
+        lam = ctmc._uniformization_rate(chain)
+        live = chain.transient_index
+        exact = [chain.initial @ expm(chain.q * t) for t in times]
+        for t, want in zip(times, exact):
+            if lam * t > 0.0:  # the public entry points return pi(0) at x = 0
+                for path in (ctmc._by_vectors, ctmc._by_squaring):
+                    got = path(chain.q / lam, chain.initial, lam * t, 1e-13)
+                    np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+        curve = reliability_curve(chain, times, tol=1e-13)
+        np.testing.assert_allclose(curve, [pi[live].sum() for pi in exact],
+                                   rtol=0, atol=1e-10)
+
+    def test_paths_match_expm_on_demo_chain(self):
+        chain = raid5_chain(ReliabilityParams(disks=8, delta=DELTA, mu=MU))
+        lam = ctmc._uniformization_rate(chain)
+        for t in (50.0, 1e3, 1e5):
+            want = chain.initial @ expm(chain.q * t)
+            for path in (ctmc._by_vectors, ctmc._by_squaring):
+                got = path(chain.q / lam, chain.initial, lam * t, 1e-13)
+                np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-14)
+
+    def test_cost_rule_picks_the_path(self):
+        # demo 07's RAID-5 chain at 1e9 h needs ~5.6e7 Poisson terms: square
+        chain = raid5_chain(ReliabilityParams(disks=8, delta=DELTA, mu=MU))
+        lam = ctmc._uniformization_rate(chain)
+        assert ctmc._squaring_cheaper(len(chain.transient_index),
+                                      lam * 1e9, 1e-12)
+        # the 357-state was_lrc column chain (lam = 4.6/h) up to 200 h
+        # takes vector steps, and squares only far beyond that
+        assert not ctmc._squaring_cheaper(357, 4.6 * 200.0, 1e-12 / 3)
+        assert ctmc._squaring_cheaper(357, 4.6 * 1e6, 1e-12)
+
+    def test_curve_keeps_callers_order(self):
+        chain = raid5_chain(ReliabilityParams(disks=8, delta=1e-4, mu=0.05))
+        times = [200.0, 10.0, 0.0, 5e4, 10.0]
+        got = reliability_curve(chain, times)
+        for t, r in zip(times, got):
+            assert r == pytest.approx(reliability_curve(chain, [t])[0],
+                                      rel=1e-12)
+        assert got[2] == 1.0 and got[1] == got[4]
+
+    def test_tolerance_bounds_the_whole_curve(self):
+        # two fast-mixing states and a slow loss: transient mass stays near
+        # 1, so every step's truncation shows in R(t) and the steps add up
+        chain = build_ctmc([("a", "b", 1.0), ("b", "a", 1.0),
+                            ("b", "lost", 1e-3)], absorbing=["lost"])
+        tol = 1e-6
+        times = [0.5 * k for k in range(1, 41)]
+        got = reliability_curve(chain, times, tol=tol)
+        for t, r in zip(times, got):
+            exact = float(expm(chain.q * t)[0, :2].sum())
+            assert 0.0 <= exact - r <= tol
+
+    def test_rejects_bad_times(self):
+        chain = tmr_chain(1e-3)
+        for bad in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                reliability_curve(chain, [1.0, bad])
+        with pytest.raises(ValueError):
+            transient_uniformization(chain, math.inf)
+
+    def test_subnormal_time_is_time_zero(self):
+        # lam * t underflows to 0, which has no Poisson log weight
+        chain = tmr_chain(1e-3)
+        assert np.array_equal(transient_uniformization(chain, 5e-324),
+                              chain.initial)
+        assert reliability_curve(chain, [5e-324]) == [1.0]
