@@ -420,7 +420,10 @@ def build_parser():
     common.add_argument("--seed", type=int, default=None,
                         help="simulation seed (falls back to RAIDLAB_SEED)")
     common.add_argument("--jobs", type=int, default=1,
-                        help="worker cap for parallel enumeration/simulation")
+                        help="worker processes for the hierarchical "
+                        "simulation; work is split by block of "
+                        "replications, so the report is the same for any "
+                        "count")
     common.add_argument("--out", default=None,
                         help="report path base (default: report)")
     common.add_argument("--format", default="json",

@@ -1,9 +1,10 @@
 """Monte-Carlo reliability simulation and the discrete-event queueing
 simulator used as the oracle for the analytic formulas.
 
-Randomness comes from counter-based Philox generators: one independent
-stream per replication derived from a 64-bit seed, so every estimate is
-bit-identical under replay and replications parallelize embarrassingly.
+Randomness comes from counter-based Philox generators.  The Monte-Carlo
+simulators run on the block engine of ``raidlab.montecarlo``: one stream
+per block of replications, keyed by block index, so every estimate is
+bit-identical under replay and for any worker count.
 """
 
 import math
@@ -13,15 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .disk import DiscreteDist
-
-
-def _streams(seed, lo, hi):
-    """Generators of replications lo..hi-1.  Replication i draws from child i
-    of SeedSequence(seed), built on its own, so a slice costs only its own
-    streams."""
-    for i in range(lo, hi):
-        child = np.random.SeedSequence(seed, spawn_key=(i,))
-        yield np.random.Generator(np.random.Philox(child))
 
 
 def _rng(seed):
@@ -86,91 +78,29 @@ class SimConfig:
 # hierarchical array simulator
 
 
-def _hraid_chunk(cfg, lo, hi):
-    """Replications lo..hi-1 of the hierarchical simulator; stream identity
-    depends only on the replication index, so chunking is invisible."""
-    n, m = cfg.nodes, cfg.disks_per_node
-    k, ell = cfg.inter_tolerance, cfg.intra_tolerance
-    d_total = n * m
-    times = np.empty(hi - lo)
-    causes = np.empty(hi - lo, dtype=int)
-    for rep, rng in enumerate(_streams(cfg.seed, lo, hi)):
-        clock = 0.0
-        ctrl_ok = np.ones(n, dtype=bool)
-        disk_ok = np.ones((n, m), dtype=bool)
-        failed_per_node = np.zeros(n, dtype=int)
-        n_c = 0
-        n_n = 0
-        n_d = 0
-        cause = None
-        while cause is None:
-            omega = (n - n_c) * cfg.gamma + (d_total - n_d) * cfg.delta
-            # 1 - u lies in (0, 1]: the log never sees zero
-            clock += -math.log(1.0 - rng.random()) / omega
-            p_ctrl = (n - n_c) * cfg.gamma / omega
-            if rng.random() <= p_ctrl:
-                while True:
-                    node = int(n * rng.random())
-                    if ctrl_ok[node]:
-                        break
-                ctrl_ok[node] = False
-                n_c += 1
-                n_n += 1
-                lost = int(disk_ok[node].sum())
-                disk_ok[node] = False
-                n_d += lost
-                if n_n > k:
-                    cause = 0
-            else:
-                while True:
-                    t = int(d_total * rng.random())
-                    node, dd = divmod(t, m)
-                    if disk_ok[node, dd]:
-                        break
-                disk_ok[node, dd] = False
-                n_d += 1
-                failed_per_node[node] += 1
-                if failed_per_node[node] > ell and ctrl_ok[node]:
-                    # node dead through disks; remaining disks inaccessible
-                    ctrl_ok[node] = False
-                    lost = int(disk_ok[node].sum())
-                    disk_ok[node] = False
-                    n_d += lost
-                    n_n += 1
-                    if n_n > k:
-                        cause = 1
-        times[rep] = clock
-        causes[rep] = cause
-    return times, causes
-
-
 def sim_hraid_mttdl(cfg, jobs=1):
     """Mean time to data loss of a hierarchical array, no repair.
 
     Per replication: total failure rate Omega = (N - N_c) gamma +
-    (D - N_d) delta; the clock advances by -ln(u)/Omega; the event is a
-    controller failure with probability (N - N_c) gamma / Omega, else a disk
-    failure; already-failed picks are resampled.  A node fails when its
+    (D - N_d) delta, with N_c the controller failures and D - N_d the
+    disks of live nodes; the clock advances by an exponential of rate
+    Omega; the event is a controller failure with probability
+    (N - N_c) gamma / Omega, landing uniformly on a live node, else a disk
+    failure, landing uniformly on a live disk.  A node fails when its
     controller fails or more than ell of its disks fail; data is lost when
     more than k nodes have failed.  Loss cause records 0 for controller,
     1 for disk (the output legend's encoding).
 
-    jobs > 1 fans replications over a process pool; results are identical
-    for any worker count because streams are keyed by replication index.
+    jobs > 1 fans blocks of replications over a process pool; results are
+    identical for any worker count because streams are keyed by block.
     """
     if cfg.mu != 0.0:
         raise ValueError("the hierarchical procedure models no repair")
-    reps = cfg.replications
-    if jobs <= 1 or reps < 2 * jobs:
-        times, causes = _hraid_chunk(cfg, 0, reps)
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-        bounds = np.linspace(0, reps, jobs + 1).astype(int)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_hraid_chunk,
-                                  [cfg] * jobs, bounds[:-1], bounds[1:]))
-        times = np.concatenate([p[0] for p in parts])
-        causes = np.concatenate([p[1] for p in parts])
+    if cfg.inter_tolerance >= cfg.nodes:
+        raise ValueError("data is never lost: inter_tolerance >= nodes")
+    from . import montecarlo
+    (times, causes), extras = montecarlo.run(
+        montecarlo.hraid_block, (cfg,), cfg.seed, cfg.replications, jobs)
     mean, hw = confidence(times, cfg.level)
     frac_disk = float((causes == 1).mean())
     return SimReport(
@@ -178,9 +108,10 @@ def sim_hraid_mttdl(cfg, jobs=1):
         estimate=mean,
         half_width=hw,
         level=cfg.level,
-        replications=reps,
+        replications=cfg.replications,
         seed=cfg.seed,
         breakdown={"disk": frac_disk, "controller": 1.0 - frac_disk},
+        extras=extras,
     )
 
 
@@ -229,11 +160,12 @@ def sim_generic_mttdl(n, delta, mu, regime="angus", tolerance=None,
                       method="auto"):
     """MTTDL of n components failing at rate delta with repair rate mu.
 
-    regime "chen" repairs one component at a time; "angus" repairs every
-    failed component concurrently.  Loss is |failed| > tolerance, or the
-    first failed set for which `predicate(failed_ids)` is True.  With a
-    plain tolerance the exact birth-death sampler is used (method="auto"),
-    otherwise an event loop.
+    regime "chen" repairs one component at a time, oldest failure first;
+    "angus" repairs every failed component concurrently.  Loss is
+    |failed| > tolerance, or the first failed set (a frozenset of component
+    ids) for which `predicate(failed_ids)` is True; the predicate is asked
+    once per distinct set.  With a plain tolerance the exact birth-death
+    sampler is used (method="auto"), otherwise an event loop.
     """
     if (tolerance is None) == (predicate is None):
         raise ValueError("give exactly one of tolerance or predicate")
@@ -242,42 +174,18 @@ def sim_generic_mttdl(n, delta, mu, regime="angus", tolerance=None,
         times = _bd_absorption_times(n, tolerance, delta, mu, regime, rng, reps)
         mean, hw = confidence(times, level)
         return SimReport("mttdl_hours", mean, hw, level, reps, seed)
+    if regime not in ("angus", "chen"):
+        raise ValueError("regime must be 'angus' or 'chen'")
+    from . import montecarlo
     if predicate is None:
-        predicate = lambda failed: len(failed) > tolerance
-    times = np.empty(reps)
-    for rep, rng in enumerate(_streams(seed, 0, reps)):
-        t = 0.0
-        failed = []
-        failed_set = set()
-        while True:
-            fail_rate = (n - len(failed)) * delta
-            if regime == "angus":
-                repair_rate = len(failed) * mu
-            else:
-                repair_rate = mu if failed else 0.0
-            total = fail_rate + repair_rate
-            if total <= 0.0:
-                raise ValueError("loss predicate never fired: every "
-                                 "component is failed with no repair")
-            t += rng.exponential(1.0 / total)
-            if rng.random() < fail_rate / total:
-                while True:
-                    victim = int(n * rng.random())
-                    if victim not in failed_set:
-                        break
-                failed.append(victim)
-                failed_set.add(victim)
-                if predicate(failed_set):
-                    break
-            else:
-                if regime == "angus":
-                    idx = int(len(failed) * rng.random())
-                else:
-                    idx = 0  # oldest failure first
-                failed_set.discard(failed.pop(idx))
-        times[rep] = t
+        lost = lambda failed, down, is_fail: down > tolerance
+    else:
+        lost = montecarlo.memo_loss(predicate)
+    (times, _), extras = montecarlo.run(
+        montecarlo.loop_block, (n, delta, mu, regime, lost), seed, reps)
     mean, hw = confidence(times, level)
-    return SimReport("mttdl_hours", mean, hw, level, reps, seed)
+    return SimReport("mttdl_hours", mean, hw, level, reps, seed,
+                     extras=extras)
 
 
 def sim_code_mttdl(code, delta, mu, regime="angus", granularity="column",
@@ -287,36 +195,15 @@ def sim_code_mttdl(code, delta, mu, regime="angus", granularity="column",
     set is decided once per call."""
     from .codes import is_recoverable
     units = code.columns() if granularity == "column" else list(code.symbols)
-    verdicts = {}
-
-    def lost(failed_ids):
-        key = frozenset(failed_ids)
-        if key not in verdicts:
-            verdicts[key] = not is_recoverable(
-                code, [units[i] for i in key], granularity)
-        return verdicts[key]
-
-    return sim_generic_mttdl(len(units), delta, mu, regime,
-                             predicate=lost, reps=reps, seed=seed,
-                             level=level, method="loop")
+    return sim_generic_mttdl(
+        len(units), delta, mu, regime,
+        predicate=lambda failed: not is_recoverable(
+            code, [units[i] for i in sorted(failed)], granularity),
+        reps=reps, seed=seed, level=level, method="loop")
 
 
 # ---------------------------------------------------------------------------
 # copyset loss
-
-
-def _random_scheme_lost(failed_sorted, n, r, s):
-    """Loss check for random replication without materializing copysets:
-    some failed primary has >= R-1 failed nodes in its successor window."""
-    failed = set(failed_sorted.tolist())
-    for i in failed:
-        hits = 0
-        for j in range(1, s + 1):
-            if (i + j) % n in failed:
-                hits += 1
-                if hits >= r - 1:
-                    return True
-    return False
 
 
 def sim_copyset_loss(scheme, fail_count=None, fail_fraction=None,
@@ -327,6 +214,7 @@ def sim_copyset_loss(scheme, fail_count=None, fail_fraction=None,
     Monte-Carlo sampling of outage sets (always Monte-Carlo for fractions).
     """
     from itertools import combinations
+    from . import montecarlo
     from .declustering import copysets
     n = scheme.nodes
     r = scheme.replication
@@ -344,22 +232,14 @@ def sim_copyset_loss(scheme, fail_count=None, fail_fraction=None,
             p = hits / math.comb(n, f)
             return SimReport("p_dl", p, 0.0, level, math.comb(n, f), seed,
                              extras={"exact": True})
-    rng = _rng(seed)
-    losses = np.empty(reps)
-    sets = copysets(scheme) if scheme.scheme == "copyset" else None
-    for rep in range(reps):
-        if fail_count is not None:
-            f = fail_count
-        else:
-            f = rng.binomial(n, fail_fraction)
-        failed = rng.choice(n, size=f, replace=False)
-        if scheme.scheme == "copyset":
-            fs = set(failed.tolist())
-            losses[rep] = any(cs <= fs for cs in sets)
-        else:
-            losses[rep] = _random_scheme_lost(failed, n, r, s)
+    sets = None
+    if scheme.scheme == "copyset":
+        sets = np.array(sorted(sorted(cs) for cs in copysets(scheme)))
+    (losses,), extras = montecarlo.run(
+        montecarlo.copyset_block, (n, r, s, fail_count, fail_fraction, sets),
+        seed, reps)
     mean, hw = confidence(losses, level)
-    return SimReport("p_dl", mean, hw, level, reps, seed)
+    return SimReport("p_dl", mean, hw, level, reps, seed, extras=extras)
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,63 @@ from raidlab.queueing import harmonic, mg1_wait, mg1_head_of_line_wait, \
     gim1_erlang2_wait
 from raidlab.rebuild import vacation_stats, vsm_wait
 from raidlab.disk import Deterministic
+from raidlab.montecarlo import BLOCK, loop_block, run_blocks, window_lost
 from raidlab.sim import (
-    SimConfig, _streams, confidence, sim_code_mttdl, sim_copyset_loss,
+    SimConfig, confidence, sim_code_mttdl, sim_copyset_loss,
     sim_generic_mttdl, sim_hraid_mttdl, sim_queue,
 )
+
+
+def z_score(rep, want):
+    """Distance of an estimate from the exact answer in standard errors."""
+    tq = stats.t.ppf(0.5 + rep.level / 2.0, rep.replications - 1)
+    return (rep.estimate - want) / (rep.half_width / tq)
+
+
+def hraid_chain(nodes, disks_per_node, inter_tolerance, intra_tolerance,
+                delta, gamma):
+    """Exact chain of the hierarchical procedure without repair.
+
+    A state is (sorted failed-disk counts of live nodes, controller
+    failures, nodes lost through disks).  Controller events arrive at rate
+    (N - N_c) gamma and land on a live node; only disks of live nodes fail.
+    """
+    start = ((0,) * nodes, 0, 0)
+    edges = {}
+    todo = [start]
+    seen = {start}
+    while todo:
+        state = todo.pop()
+        live, n_c, n_dd = state
+        moves = []
+        ctrl_each = (nodes - n_c) * gamma / len(live)
+        for i, j in enumerate(live):
+            rest = live[:i] + live[i + 1:]
+            moves.append(((rest, n_c + 1, n_dd), ctrl_each))
+            if j + 1 > intra_tolerance:
+                moves.append(((rest, n_c, n_dd + 1),
+                              (disks_per_node - j) * delta))
+            else:
+                moves.append(((tuple(sorted(rest + (j + 1,))), n_c, n_dd),
+                              (disks_per_node - j) * delta))
+        for nxt, rate in moves:
+            if nodes - len(nxt[0]) > inter_tolerance:
+                nxt = "loss"
+            edges[state, nxt] = edges.get((state, nxt), 0.0) + rate
+            if nxt != "loss" and nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    return build_ctmc([(a, b, r) for (a, b), r in edges.items()],
+                      absorbing=["loss"], states=[start])
+
+
+def birth_death_chain(n, kappa, delta, mu, regime):
+    """Failed-count chain: up at (n - i) delta, down at i mu (angus) or
+    mu (chen), absorbing at kappa + 1 failures."""
+    edges = [(i, i + 1, (n - i) * delta) for i in range(kappa + 1)]
+    edges += [(i, i - 1, i * mu if regime == "angus" else mu)
+              for i in range(1, kappa + 1)]
+    return build_ctmc(edges, absorbing=[kappa + 1])
 
 
 class TestConfidence:
@@ -72,24 +125,50 @@ class TestReplay:
         assert sim_hraid_mttdl(cfg1).estimate != sim_hraid_mttdl(cfg2).estimate
 
 
+def _raw_block(rng, size):
+    """A block that reports its stream: seed state and first raw draws."""
+    return (rng.bit_generator.seed_seq.generate_state(4),
+            rng.bit_generator.random_raw(16)), size
+
+
 class TestStreams:
     def test_slice_matches_spawned_children(self):
         seed, n, lo, hi = 20240817, 40, 17, 23
         children = np.random.SeedSequence(seed).spawn(n)[lo:hi]
-        for rng, child in zip(_streams(seed, lo, hi), children, strict=True):
-            ref = np.random.Philox(child)
-            assert np.array_equal(rng.bit_generator.seed_seq.generate_state(4),
-                                  child.generate_state(4))
-            assert np.array_equal(rng.bit_generator.random_raw(16),
-                                  ref.random_raw(16))
+        parts, events = run_blocks(_raw_block, (), seed, n * BLOCK, lo, hi)
+        assert events == (hi - lo) * BLOCK
+        for (state, raw), child in zip(parts, children, strict=True):
+            assert np.array_equal(state, child.generate_state(4))
+            assert np.array_equal(raw, np.random.Philox(child).random_raw(16))
+
+    def test_slice_builds_only_its_own_streams(self, monkeypatch):
+        built = []
+        real = np.random.SeedSequence
+
+        def recording(*args, **kwargs):
+            seq = real(*args, **kwargs)
+            built.append(seq.spawn_key)
+            return seq
+
+        monkeypatch.setattr(np.random, "SeedSequence", recording)
+        run_blocks(_raw_block, (), 7, 40 * BLOCK, 17, 23)
+        assert built == [(b,) for b in range(17, 23)]
+
+    def test_partial_last_block(self):
+        parts, events = run_blocks(_raw_block, (), 7, 2 * BLOCK + 5, 0, 3)
+        assert events == 2 * BLOCK + 5
 
     def test_worker_count_invisible(self):
+        # three blocks, the last one partial
         cfg = SimConfig(nodes=2, disks_per_node=4, intra_tolerance=1,
-                        delta=1e-5, replications=201, seed=5)
+                        delta=1e-5, replications=2 * BLOCK + 201, seed=5)
         a = sim_hraid_mttdl(cfg, jobs=1)
-        b = sim_hraid_mttdl(cfg, jobs=2)
-        assert (a.estimate, a.half_width, a.breakdown) == \
-            (b.estimate, b.half_width, b.breakdown)
+        assert a.extras["blocks"] == 3
+        assert a.extras["events"] >= a.replications
+        for jobs in (2, 3):
+            b = sim_hraid_mttdl(cfg, jobs=jobs)
+            assert (a.estimate, a.half_width, a.breakdown, a.extras) == \
+                (b.estimate, b.half_width, b.breakdown, b.extras)
 
 
 class TestHraid:
@@ -131,6 +210,36 @@ class TestHraid:
         assert rep.breakdown["controller"] + rep.breakdown["disk"] == \
             pytest.approx(1.0)
 
+    @pytest.mark.parametrize("config", [
+        # the benchmark's validation config
+        dict(nodes=4, disks_per_node=4, inter_tolerance=1,
+             intra_tolerance=1, delta=1e-6, gamma=1e-7),
+        # controller-heavy, as in test_controller_breakdown_recorded
+        dict(nodes=4, disks_per_node=2, inter_tolerance=0,
+             intra_tolerance=0, delta=1e-6, gamma=1e-4),
+        # nodes lost through their disks leave the controller rate
+        # (N - N_c) gamma to the live nodes
+        dict(nodes=5, disks_per_node=3, inter_tolerance=2,
+             intra_tolerance=0, delta=1e-5, gamma=1.2e-5),
+        # losses from the first event up to the seventh: a finished row
+        # left as it was would soon have no live node and no event rate
+        dict(nodes=2, disks_per_node=4, inter_tolerance=0,
+             intra_tolerance=3, delta=1e-3, gamma=1e-3),
+    ])
+    def test_matches_hierarchical_chain(self, config):
+        want, _, _ = mean_time_to_absorption(hraid_chain(**config))
+        rep = sim_hraid_mttdl(SimConfig(replications=20_000, seed=41,
+                                        **config))
+        assert abs(z_score(rep, want)) <= 4
+
+    def test_data_never_lost_rejected(self):
+        with pytest.raises(ValueError):
+            sim_hraid_mttdl(SimConfig(nodes=2, inter_tolerance=2))
+        with pytest.raises(ValueError):
+            sim_hraid_mttdl(SimConfig(nodes=2, disks_per_node=2,
+                                      intra_tolerance=2, delta=1e-3,
+                                      replications=10))
+
 
 class TestGenericMttdl:
     def test_any_failure_predicate(self):
@@ -148,16 +257,51 @@ class TestGenericMttdl:
             fast.half_width + loop.half_width
         assert overlap
 
+    @pytest.mark.parametrize("regime", ["angus", "chen"])
+    def test_event_loop_matches_chain(self, regime):
+        n, kappa, delta, mu = 8, 2, 1 / 20.0, 1.0
+        want, _, _ = mean_time_to_absorption(
+            birth_death_chain(n, kappa, delta, mu, regime))
+        rep = sim_generic_mttdl(n, delta, mu, regime=regime, tolerance=kappa,
+                                reps=5000, seed=32, method="loop")
+        assert abs(z_score(rep, want)) <= 4
+        assert rep.extras["events"] >= rep.replications
+
+    @pytest.mark.parametrize("regime", ["angus", "chen"])
+    def test_repair_pick(self, regime):
+        # one replication at a time, its failed set recorded after every
+        # event: chen repairs the oldest failure, angus a random one
+        oldest_first = repairs = 0
+        for seed in range(40):
+            history = [np.zeros(6, dtype=bool)]
+
+            def lost(failed, down, is_fail):
+                history.append(failed[0].copy())
+                return down > 3
+
+            loop_block(np.random.default_rng(seed), 1, 6, 0.3, 1.0, regime,
+                        lost)
+            queue = []
+            for before, after in zip(history, history[1:]):
+                (col,) = np.flatnonzero(before != after)
+                if after[col]:
+                    queue.append(col)
+                    continue
+                if len(queue) > 1:
+                    repairs += 1
+                    oldest_first += col == queue[0]
+                queue.remove(col)
+        assert repairs > 100
+        if regime == "chen":
+            assert oldest_first == repairs
+        else:
+            assert 0.2 < oldest_first / repairs < 0.7
+
     def test_chen_regime_matches_chain(self):
         delta, mu = 1 / 800.0, 0.8
         n, kappa = 8, 2
-        edges = []
-        for i in range(kappa + 1):
-            edges.append((i, i + 1, (n - i) * delta))
-            if i > 0:
-                edges.append((i, i - 1, mu))
-        chain = build_ctmc(edges, absorbing=[kappa + 1])
-        want, _, _ = mean_time_to_absorption(chain)
+        want, _, _ = mean_time_to_absorption(
+            birth_death_chain(n, kappa, delta, mu, "chen"))
         rep = sim_generic_mttdl(n, delta, mu, regime="chen", tolerance=kappa,
                                 reps=20_000, seed=31)
         assert abs(rep.estimate - want) <= 2.5 * rep.half_width
@@ -183,15 +327,60 @@ class TestGenericMttdl:
             return real(code, erasures, granularity)
 
         monkeypatch.setattr(codes, "is_recoverable", counting)
-        rep = sim_code_mttdl(builders.was_lrc_6_2_2(), 0.1, 1.0,
-                             regime="angus", reps=100, seed=7)
-        # the estimate of the unmemoised predicate, bit for bit
-        assert rep.estimate == 144.45478498774457
-        assert rep.half_width == 26.160589453193655
+        code = builders.was_lrc_6_2_2()
+        rep = sim_code_mttdl(code, 0.1, 1.0, regime="angus", reps=100,
+                             seed=7)
         assert 0 < len(asked) == len(set(asked))
+        # the estimate of the plain, unmemoised predicate, bit for bit
+        cols = code.columns()
+        ref = sim_generic_mttdl(
+            len(cols), 0.1, 1.0, regime="angus", reps=100, seed=7,
+            predicate=lambda failed: not real(
+                code, [cols[i] for i in failed], "column"))
+        assert (rep.estimate, rep.half_width) == \
+            (ref.estimate, ref.half_width)
+
+
+def _random_scheme_lost(failed, n, r, s):
+    """Scalar loss check of random replication: some failed primary has
+    >= R-1 failed nodes in its successor window."""
+    failed = set(failed)
+    for i in failed:
+        hits = 0
+        for j in range(1, s + 1):
+            if (i + j) % n in failed:
+                hits += 1
+                if hits >= r - 1:
+                    return True
+    return False
+
+
+def _outage_masks(n, outages):
+    mask = np.zeros((len(outages), n), dtype=bool)
+    for row, failed in enumerate(outages):
+        mask[row, list(failed)] = True
+    return mask
 
 
 class TestCopysetSim:
+    @pytest.mark.parametrize("r,s", [(3, 4), (2, 1), (3, 8), (4, 5)])
+    def test_window_matches_scalar_on_small_subsets(self, r, s):
+        from itertools import combinations
+        outages = [c for f in (3, 4) for c in combinations(range(9), f)]
+        got = window_lost(_outage_masks(9, outages), r, s)
+        want = [_random_scheme_lost(c, 9, r, s) for c in outages]
+        assert got.tolist() == want
+
+    def test_window_matches_scalar_on_big_cluster(self):
+        rng = np.random.default_rng(17)
+        n, r, s = 5000, 3, 50
+        outages = [rng.choice(n, size=f, replace=False)
+                   for f in rng.integers(1, 120, size=200)]
+        got = window_lost(_outage_masks(n, outages), r, s)
+        want = [_random_scheme_lost(c.tolist(), n, r, s) for c in outages]
+        assert got.tolist() == want
+        assert 0 < sum(want) < len(want)
+
     def test_exact_enumeration_small(self):
         perms = [list(range(9)), [0, 3, 6, 1, 4, 7, 2, 5, 8]]
         scheme = CopysetScheme(9, 3, 4, scheme="copyset", permutations=perms)
@@ -203,6 +392,26 @@ class TestCopysetSim:
         scheme = CopysetScheme(9, 3, 4, scheme="random")
         rep = sim_copyset_loss(scheme, fail_count=3, reps=20_000, seed=2)
         assert abs(rep.estimate - 54 / 84) <= 3 * rep.half_width
+        assert rep.extras == {"events": 20_000, "blocks": 5}
+
+    def test_fail_fraction_matches_enumeration(self):
+        # each node down with probability f: exact by summing over all
+        # 2^9 outage sets with the scalar loss check
+        from itertools import combinations
+        f = 0.3
+        want = sum(f ** k * (1 - f) ** (9 - k)
+                   for k in range(10) for c in combinations(range(9), k)
+                   if _random_scheme_lost(c, 9, 3, 4))
+        scheme = CopysetScheme(9, 3, 4, scheme="random")
+        rep = sim_copyset_loss(scheme, fail_fraction=f, reps=20_000, seed=6)
+        assert abs(z_score(rep, want)) <= 4
+
+    def test_copyset_scheme_montecarlo(self):
+        perms = [list(range(9)), [0, 3, 6, 1, 4, 7, 2, 5, 8]]
+        scheme = CopysetScheme(9, 3, 4, scheme="copyset", permutations=perms)
+        rep = sim_copyset_loss(scheme, fail_count=3, reps=20_000, seed=4,
+                               exact_budget=0)
+        assert abs(z_score(rep, 6 / 84)) <= 4
 
     def test_zero_failures(self):
         scheme = CopysetScheme(9, 3, 4, scheme="random")
