@@ -8,7 +8,6 @@ bit-identical under replay and for any worker count.
 """
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -318,6 +317,13 @@ class _QueueParams(dict):
         raise ValueError("%s queue needs params %r" % (self.model, key))
 
 
+def _enough(count, n_customers, warmup, n_batches):
+    if count < n_batches:
+        raise ValueError(
+            "too few customers: n_customers=%d less warmup=%d leaves %d, "
+            "fewer than n_batches=%d" % (n_customers, warmup, count, n_batches))
+
+
 def sim_queue(model, params, n_customers=200_000, warmup=10_000, seed=0,
               level=0.95, n_batches=20):
     """Event-driven single-server (or fork-join) queue statistics.
@@ -325,15 +331,32 @@ def sim_queue(model, params, n_customers=200_000, warmup=10_000, seed=0,
     model: "mg1" | "mg1_priority" | "fj" | "vsm" | "pcm" | "gim1_erlang2".
     params is a dict; common keys: arrival_rate (1/ms), service spec.
     Returns a dict with mean wait/response and batch-means CIs.
+
+    Two rules hold for every model; breaking either is a ValueError:
+    - stability: rho < 1, with rho the arrival rate times the mean service
+      time, summed over both classes for mg1_priority;
+    - enough customers: n_customers - warmup >= n_batches, so every batch
+      mean has a customer.  mg1_priority applies it per class, to what a
+      class keeps after dropping its share of the warm-up.
     """
     params = _QueueParams(model, params)
+    if model == "mg1_priority":
+        rho = (params["arrival_rate_high"] * spec_mean(params["service_high"])
+               + params["arrival_rate_low"] * spec_mean(params["service_low"]))
+    elif model == "gim1_erlang2":
+        rho = params["arrival_rate"] * params["service_mean"]
+    elif model in ("mg1", "fj", "vsm", "pcm"):
+        rho = params["arrival_rate"] * spec_mean(params["service"])
+    else:
+        raise ValueError("unknown queue model %r" % (model,))
+    if rho >= 1:
+        raise ValueError("unstable: rho=%.3f" % rho)
+    if model != "mg1_priority":  # which checks each class on its own
+        _enough(n_customers - warmup, n_customers, warmup, n_batches)
     rng = _rng(seed)
     if model == "mg1":
         lam = params["arrival_rate"]
         svc = sampler(params["service"])
-        rho = lam * spec_mean(params["service"])
-        if rho >= 1:
-            raise ValueError("unstable: rho=%.3f" % rho)
         inter = rng.exponential(1.0 / lam, n_customers)
         serv = svc(rng, n_customers)
         waits = _lindley_waits(inter, serv)[warmup:]
@@ -350,8 +373,7 @@ def sim_queue(model, params, n_customers=200_000, warmup=10_000, seed=0,
         serv = rng.exponential(mean_svc, n_customers)
         waits = _lindley_waits(inter, serv)[warmup:]
         wm, wh = _batch_ci(waits, n_batches, level)
-        return {"wait": wm, "wait_hw": wh, "rho": lam * mean_svc,
-                "n": len(waits)}
+        return {"wait": wm, "wait_hw": wh, "rho": rho, "n": len(waits)}
 
     if model == "fj":
         lam = params["arrival_rate"]
@@ -372,16 +394,33 @@ def sim_queue(model, params, n_customers=200_000, warmup=10_000, seed=0,
         return _sim_priority(params, n_customers, warmup, rng, level, n_batches)
     if model == "vsm":
         return _sim_vsm(params, n_customers, warmup, rng, level, n_batches)
-    if model == "pcm":
-        return _sim_pcm(params, n_customers, warmup, rng, level, n_batches)
-    raise ValueError("unknown queue model %r" % (model,))
+    return _sim_pcm(params, n_customers, warmup, rng, level, n_batches)
+
+
+# The event loops below index float64 arrays through memoryviews, which
+# return Python floats without copying, so each step does the float
+# operations of a loop over numpy scalars with no scalar boxing.
+
+
+def _floats(x):
+    return np.ascontiguousarray(x, dtype=float)
+
+
+def _arrivals(rng, rate, n):
+    """n Poisson arrival times, followed by an inf sentinel."""
+    t = np.empty(n + 1)
+    np.cumsum(rng.exponential(1.0 / rate, n), out=t[:n])
+    t[n] = math.inf
+    return t
 
 
 def _sim_priority(params, n_customers, warmup, rng, level, n_batches):
     """Two-class nonpreemptive head-of-line priority, FCFS within class.
 
     At every service completion (current time t) the arrivals up to t are
-    admitted and the high-priority queue is drained first.
+    admitted and the high-priority queue is drained first.  A class's queue
+    is its customers from its next unserved one up to the last arrival
+    <= t, so each queue is a head index into its arrival array.
     """
     lam_h = params["arrival_rate_high"]
     lam_l = params["arrival_rate_low"]
@@ -390,45 +429,41 @@ def _sim_priority(params, n_customers, warmup, rng, level, n_batches):
     lam = lam_h + lam_l
     n_h = max(int(n_customers * lam_h / lam), 8)
     n_l = max(n_customers - n_h, 8)
-    t_h = np.cumsum(rng.exponential(1.0 / lam_h, n_h))
-    t_l = np.cumsum(rng.exponential(1.0 / lam_l, n_l))
-    s_h = svc_h(rng, n_h)
-    s_l = svc_l(rng, n_l)
-    qh, ql = deque(), deque()
+    cut_h = max(int(n_h * warmup / n_customers), 1)
+    cut_l = max(int(n_l * warmup / n_customers), 1)
+    _enough(n_h - cut_h, n_customers, warmup, n_batches)
+    _enough(n_l - cut_l, n_customers, warmup, n_batches)
+    t_h = memoryview(_arrivals(rng, lam_h, n_h))
+    t_l = memoryview(_arrivals(rng, lam_l, n_l))
+    s_h = memoryview(_floats(svc_h(rng, n_h)))
+    s_l = memoryview(_floats(svc_l(rng, n_l)))
+    waits_h, waits_l = np.empty(n_h), np.empty(n_l)
+    w_h, w_l = memoryview(waits_h), memoryview(waits_l)
     ih = il = 0
+    a, b = t_h[0], t_l[0]  # arrival times of the two heads
     t = 0.0
-    waits_h, waits_l = [], []
     while True:
-        while ih < n_h and t_h[ih] <= t:
-            qh.append((t_h[ih], s_h[ih]))
+        if a <= t:
+            w_h[ih] = t - a
+            t += s_h[ih]
             ih += 1
-        while il < n_l and t_l[il] <= t:
-            ql.append((t_l[il], s_l[il]))
+            a = t_h[ih]
+        elif b <= t:
+            w_l[il] = t - b
+            t += s_l[il]
             il += 1
-        if qh:
-            arr, s = qh.popleft()
-            waits_h.append(t - arr)
-            t += s
-        elif ql:
-            arr, s = ql.popleft()
-            waits_l.append(t - arr)
-            t += s
+            b = t_l[il]
+        elif b < a:  # idle until the next arrival
+            t = b
+        elif a < math.inf:
+            t = a
         else:
-            nxt = []
-            if ih < n_h:
-                nxt.append(t_h[ih])
-            if il < n_l:
-                nxt.append(t_l[il])
-            if not nxt:
-                break
-            t = min(nxt)
-    cut_h = max(int(len(waits_h) * warmup / n_customers), 1)
-    cut_l = max(int(len(waits_l) * warmup / n_customers), 1)
-    wm, wh = _batch_ci(np.asarray(waits_h[cut_h:]), n_batches, level)
-    lm, lh = _batch_ci(np.asarray(waits_l[cut_l:]), n_batches, level)
+            break
+    wm, wh = _batch_ci(waits_h[cut_h:], n_batches, level)
+    lm, lh = _batch_ci(waits_l[cut_l:], n_batches, level)
     return {"wait_high": wm, "wait_high_hw": wh,
             "wait_low": lm, "wait_low_hw": lh,
-            "n": len(waits_h) + len(waits_l)}
+            "n": n_h + n_l}
 
 
 def _sim_vsm(params, n_customers, warmup, rng, level, n_batches):
@@ -440,6 +475,7 @@ def _sim_vsm(params, n_customers, warmup, rng, level, n_batches):
     seek part of a type-1 vacation (needs "vacation1_seek" and "read_part"
     sampler specs).
     """
+    from array import array
     lam = params["arrival_rate"]
     svc = sampler(params["service"])
     v1 = sampler(params["vacation1"])
@@ -449,39 +485,39 @@ def _sim_vsm(params, n_customers, warmup, rng, level, n_batches):
     if split_seek:
         seek_part = sampler(params["vacation1_seek"])
         read_part = sampler(params["read_part"])
-    arr = np.cumsum(rng.exponential(1.0 / lam, n_customers))
-    serv = svc(rng, n_customers)
+    arr = memoryview(np.cumsum(rng.exponential(1.0 / lam, n_customers)))
+    serv = _floats(svc(rng, n_customers))
+    s = memoryview(serv)
     waits = np.empty(n_customers)
-    units_per_idle = []
+    w = memoryview(waits)
+    units_per_idle = array("q")
     t = 0.0
-    i = 0
-    while i < n_customers:
-        if arr[i] <= t:
-            waits[i] = t - arr[i]
-            t += serv[i]
-            i += 1
-            continue
-        units = 0
-        first = True
-        while i < n_customers and arr[i] > t:
-            if first and split_seek:
-                s_len = seek_part(rng)
-                if arr[i] <= t + s_len:
-                    t += s_len  # arrival during the seek: skip the read
-                    break
-                t += s_len + read_part(rng)
-            else:
-                v_len = v1(rng) if first else v2(rng)
-                if v_len <= 0.0:
-                    t = arr[i]  # degenerate vacation: plain idle wait
-                    break
-                if preempt and arr[i] <= t + v_len:
-                    t = arr[i]  # drop the in-flight read on arrival
-                    break
-                t += v_len
-            units += 1
-            first = False
-        units_per_idle.append(units)
+    for i in range(n_customers):
+        a = arr[i]
+        if a > t:
+            units = 0
+            first = True
+            while a > t:
+                if first and split_seek:
+                    s_len = seek_part(rng)
+                    if a <= t + s_len:
+                        t += s_len  # arrival during the seek: skip the read
+                        break
+                    t += s_len + read_part(rng)
+                else:
+                    v_len = v1(rng) if first else v2(rng)
+                    if v_len <= 0.0:
+                        t = a  # degenerate vacation: plain idle wait
+                        break
+                    if preempt and a <= t + v_len:
+                        t = a  # drop the in-flight read on arrival
+                        break
+                    t += v_len
+                units += 1
+                first = False
+            units_per_idle.append(units)
+        w[i] = t - a
+        t += s[i]
     resp = waits + serv
     wm, wh = _batch_ci(waits[warmup:], n_batches, level)
     rm, rh = _batch_ci(resp[warmup:], n_batches, level)
@@ -497,27 +533,28 @@ def _sim_pcm(params, n_customers, warmup, rng, level, n_batches):
     service completes, so service order is join order: the earlier of the
     next external arrival and the rebuild's last completion goes first.
     """
+    from array import array
     lam = params["arrival_rate"]
     svc = sampler(params["service"])
     ru = sampler(params["rebuild_service"])
-    arr = np.cumsum(rng.exponential(1.0 / lam, n_customers))
-    serv = svc(rng, n_customers)
+    arr = memoryview(np.cumsum(rng.exponential(1.0 / lam, n_customers)))
+    serv = _floats(svc(rng, n_customers))
+    s = memoryview(serv)
     waits = np.empty(n_customers)
-    ru_waits = []
+    w = memoryview(waits)
+    ru_waits = array("d")
     t_free = 0.0
     rejoin = 0.0
-    i = 0
-    while i < n_customers:
-        if rejoin <= arr[i]:
-            start = max(t_free, rejoin)
+    for i in range(n_customers):
+        a = arr[i]
+        while rejoin <= a:
+            start = rejoin if rejoin > t_free else t_free
             ru_waits.append(start - rejoin)
             t_free = start + ru(rng)
             rejoin = t_free
-        else:
-            start = max(t_free, arr[i])
-            waits[i] = start - arr[i]
-            t_free = start + serv[i]
-            i += 1
+        start = a if a > t_free else t_free
+        w[i] = start - a
+        t_free = start + s[i]
     wm, wh = _batch_ci(waits[warmup:], n_batches, level)
     resp = waits + serv
     rm, rh = _batch_ci(resp[warmup:], n_batches, level)

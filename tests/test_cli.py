@@ -330,6 +330,27 @@ class TestMoreCommands:
         assert rows["rho"]["unit"] == ""
         assert rows["wait"]["value"] == pytest.approx(10.0, rel=0.1)
 
+    @pytest.mark.parametrize("sim,detail", [
+        ({"model": "fj", "params": {"arrival_rate": 0.2, "ways": 2,
+                                    "service": ["exp", 10.0]}},
+         "unstable: rho=2.000"),
+        ({"model": "mg1", "params": {"arrival_rate": 0.05,
+                                     "service": ["exp", 10.0]},
+          "replications": 5000},
+         "n_customers=5000 less warmup=10000"),
+    ], ids=["overload", "too-few-customers"])
+    def test_sim_queue_domain_error_exit_3(self, tmp_path, capsys, sim,
+                                           detail):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"version": "1",
+                                   "sim": dict(kind="queue", **sim)}))
+        assert run_cli(["sim", "queue", "--config", str(cfg),
+                        "--out", "q"], tmp_path) == 3
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "domain"
+        assert detail in err["detail"]
+        assert not (tmp_path / "q.json").exists()
+
     def test_resch_table_preset_row_per_config(self, tmp_path):
         assert run_cli(["sim", "reliability", "--preset", "resch-table",
                         "--reps", "500", "--out", "t", "--format", "csv"],

@@ -1,4 +1,5 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -7,15 +8,15 @@ from scipy import stats
 from raidlab import builders
 from raidlab.ctmc import mean_time_to_absorption, build_ctmc
 from raidlab.declustering import CopysetScheme
-from raidlab.disk import MomentSet
+from raidlab.disk import DiscreteDist, MomentSet
 from raidlab.queueing import harmonic, mg1_wait, mg1_head_of_line_wait, \
     gim1_erlang2_wait
 from raidlab.rebuild import vacation_stats, vsm_wait
 from raidlab.disk import Deterministic
 from raidlab.montecarlo import BLOCK, loop_block, run_blocks, window_lost
 from raidlab.sim import (
-    SimConfig, confidence, sim_code_mttdl, sim_copyset_loss,
-    sim_generic_mttdl, sim_hraid_mttdl, sim_queue,
+    SimConfig, _batch_ci, _rng, confidence, sampler, sim_code_mttdl,
+    sim_copyset_loss, sim_generic_mttdl, sim_hraid_mttdl, sim_queue,
 )
 
 
@@ -525,6 +526,218 @@ class TestQueueSim:
     def test_unstable_rejected(self):
         with pytest.raises(ValueError):
             sim_queue("mg1", {"arrival_rate": 0.2, "service": ("exp", 10.0)})
+
+
+    @pytest.mark.parametrize("model,params", [
+        ("fj", {"arrival_rate": 0.2, "ways": 2, "service": ("exp", 10.0)}),
+        ("gim1_erlang2", {"arrival_rate": 0.2, "service_mean": 10.0}),
+        ("mg1_priority", {"arrival_rate_high": 0.06, "arrival_rate_low": 0.06,
+                          "service_high": ("exp", 10.0),
+                          "service_low": ("det", 8.0)}),
+        ("vsm", {"arrival_rate": 0.2, "service": ("exp", 10.0),
+                 "vacation1": ("det", 12.0), "vacation2": ("det", 8.0)}),
+        ("pcm", {"arrival_rate": 0.2, "service": ("exp", 10.0),
+                 "rebuild_service": ("det", 8.33)}),
+    ], ids=["fj", "gim1_erlang2", "mg1_priority", "vsm", "pcm"])
+    def test_overload_rejected_by_every_model(self, model, params):
+        with pytest.raises(ValueError, match="unstable: rho="):
+            sim_queue(model, params, n_customers=1000, warmup=100)
+
+    @pytest.mark.parametrize("model,params,warmup", [
+        ("mg1", {"arrival_rate": 0.05, "service": ("exp", 10.0)}, 990),
+        ("gim1_erlang2", {"arrival_rate": 0.05, "service_mean": 10.0}, 990),
+        ("fj", {"arrival_rate": 0.05, "ways": 2, "service": ("exp", 10.0)},
+         990),
+        ("vsm", {"arrival_rate": 0.05, "service": ("exp", 10.0),
+                 "vacation1": ("det", 12.0), "vacation2": ("det", 8.0)}, 990),
+        ("pcm", {"arrival_rate": 0.05, "service": ("exp", 10.0),
+                 "rebuild_service": ("det", 8.33)}, 990),
+        # 100 customers are left in all, but the high class keeps 10 of its
+        # 100 after dropping its share of the warm-up
+        ("mg1_priority", {"arrival_rate_high": 0.005,
+                          "arrival_rate_low": 0.045,
+                          "service_high": ("exp", 10.0),
+                          "service_low": ("exp", 10.0)}, 900),
+    ], ids=["mg1", "gim1_erlang2", "fj", "vsm", "pcm", "mg1_priority"])
+    def test_too_few_customers_after_warmup(self, model, params, warmup):
+        with pytest.raises(ValueError, match="n_customers=1000.*warmup=%d"
+                                             ".*n_batches=20" % warmup):
+            sim_queue(model, params, n_customers=1000, warmup=warmup)
+
+
+# The event loops as they were before they read their arrays through
+# memoryviews: the reference the rewritten loops must match bit for bit.
+
+
+def _reference_priority(params, n_customers, warmup, rng, level, n_batches):
+    lam_h = params["arrival_rate_high"]
+    lam_l = params["arrival_rate_low"]
+    svc_h = sampler(params["service_high"])
+    svc_l = sampler(params["service_low"])
+    lam = lam_h + lam_l
+    n_h = max(int(n_customers * lam_h / lam), 8)
+    n_l = max(n_customers - n_h, 8)
+    t_h = np.cumsum(rng.exponential(1.0 / lam_h, n_h))
+    t_l = np.cumsum(rng.exponential(1.0 / lam_l, n_l))
+    s_h = svc_h(rng, n_h)
+    s_l = svc_l(rng, n_l)
+    qh, ql = deque(), deque()
+    ih = il = 0
+    t = 0.0
+    waits_h, waits_l = [], []
+    while True:
+        while ih < n_h and t_h[ih] <= t:
+            qh.append((t_h[ih], s_h[ih]))
+            ih += 1
+        while il < n_l and t_l[il] <= t:
+            ql.append((t_l[il], s_l[il]))
+            il += 1
+        if qh:
+            arr, s = qh.popleft()
+            waits_h.append(t - arr)
+            t += s
+        elif ql:
+            arr, s = ql.popleft()
+            waits_l.append(t - arr)
+            t += s
+        else:
+            nxt = []
+            if ih < n_h:
+                nxt.append(t_h[ih])
+            if il < n_l:
+                nxt.append(t_l[il])
+            if not nxt:
+                break
+            t = min(nxt)
+    cut_h = max(int(len(waits_h) * warmup / n_customers), 1)
+    cut_l = max(int(len(waits_l) * warmup / n_customers), 1)
+    wm, wh = _batch_ci(np.asarray(waits_h[cut_h:]), n_batches, level)
+    lm, lh = _batch_ci(np.asarray(waits_l[cut_l:]), n_batches, level)
+    return {"wait_high": wm, "wait_high_hw": wh,
+            "wait_low": lm, "wait_low_hw": lh,
+            "n": len(waits_h) + len(waits_l)}
+
+
+def _reference_vsm(params, n_customers, warmup, rng, level, n_batches):
+    lam = params["arrival_rate"]
+    svc = sampler(params["service"])
+    v1 = sampler(params["vacation1"])
+    v2 = sampler(params["vacation2"])
+    split_seek = params.get("split_seek", False)
+    preempt = params.get("preempt", False)
+    if split_seek:
+        seek_part = sampler(params["vacation1_seek"])
+        read_part = sampler(params["read_part"])
+    arr = np.cumsum(rng.exponential(1.0 / lam, n_customers))
+    serv = svc(rng, n_customers)
+    waits = np.empty(n_customers)
+    units_per_idle = []
+    t = 0.0
+    i = 0
+    while i < n_customers:
+        if arr[i] <= t:
+            waits[i] = t - arr[i]
+            t += serv[i]
+            i += 1
+            continue
+        units = 0
+        first = True
+        while i < n_customers and arr[i] > t:
+            if first and split_seek:
+                s_len = seek_part(rng)
+                if arr[i] <= t + s_len:
+                    t += s_len
+                    break
+                t += s_len + read_part(rng)
+            else:
+                v_len = v1(rng) if first else v2(rng)
+                if v_len <= 0.0:
+                    t = arr[i]
+                    break
+                if preempt and arr[i] <= t + v_len:
+                    t = arr[i]
+                    break
+                t += v_len
+            units += 1
+            first = False
+        units_per_idle.append(units)
+    resp = waits + serv
+    wm, wh = _batch_ci(waits[warmup:], n_batches, level)
+    rm, rh = _batch_ci(resp[warmup:], n_batches, level)
+    return {"wait": wm, "wait_hw": wh, "response": rm, "response_hw": rh,
+            "mean_units_per_idle": float(np.mean(units_per_idle)),
+            "n": n_customers - warmup}
+
+
+def _reference_pcm(params, n_customers, warmup, rng, level, n_batches):
+    lam = params["arrival_rate"]
+    svc = sampler(params["service"])
+    ru = sampler(params["rebuild_service"])
+    arr = np.cumsum(rng.exponential(1.0 / lam, n_customers))
+    serv = svc(rng, n_customers)
+    waits = np.empty(n_customers)
+    ru_waits = []
+    t_free = 0.0
+    rejoin = 0.0
+    i = 0
+    while i < n_customers:
+        if rejoin <= arr[i]:
+            start = max(t_free, rejoin)
+            ru_waits.append(start - rejoin)
+            t_free = start + ru(rng)
+            rejoin = t_free
+        else:
+            start = max(t_free, arr[i])
+            waits[i] = start - arr[i]
+            t_free = start + serv[i]
+            i += 1
+    wm, wh = _batch_ci(waits[warmup:], n_batches, level)
+    resp = waits + serv
+    rm, rh = _batch_ci(resp[warmup:], n_batches, level)
+    return {"wait": wm, "wait_hw": wh, "response": rm, "response_hw": rh,
+            "rebuild_wait": float(np.mean(ru_waits)) if ru_waits else 0.0,
+            "rebuild_reads": len(ru_waits),
+            "n": n_customers - warmup}
+
+
+REFERENCE_LOOPS = {"mg1_priority": _reference_priority,
+                   "vsm": _reference_vsm, "pcm": _reference_pcm}
+SEEK_SIZES = DiscreteDist(np.array([2.0, 5.0, 9.0]), np.array([0.5, 0.3, 0.2]))
+
+
+class TestEventLoopsMatchReference:
+    @pytest.mark.parametrize("model,params", [
+        ("mg1_priority", {"arrival_rate_high": 0.015, "arrival_rate_low": 0.045,
+                          "service_high": ("det", 6.0),
+                          "service_low": ("erlang", 3, 11.0)}),
+        ("mg1_priority", {"arrival_rate_high": 0.04, "arrival_rate_low": 0.01,
+                          "service_high": ("uniform", 16.0),
+                          "service_low": ("discrete", SEEK_SIZES)}),
+        ("vsm", {"arrival_rate": 0.05, "service": ("exp", 10.0),
+                 "vacation1": ("det", 12.0), "vacation2": ("det", 8.0)}),
+        ("vsm", {"arrival_rate": 0.05, "service": ("erlang", 2, 10.0),
+                 "vacation1": ("exp", 12.0), "vacation2": ("uniform", 16.0),
+                 "preempt": True}),
+        ("vsm", {"arrival_rate": 0.05, "service": ("discrete", SEEK_SIZES),
+                 "vacation1": ("det", 12.0), "vacation2": ("exp", 8.0),
+                 "split_seek": True, "vacation1_seek": ("uniform", 8.0),
+                 "read_part": ("det", 4.0)}),
+        ("vsm", {"arrival_rate": 0.05, "service": ("uniform", 20.0),
+                 "vacation1": ("det", 0.0), "vacation2": ("det", 0.0)}),
+        ("pcm", {"arrival_rate": 0.05, "service": ("exp", 10.0),
+                 "rebuild_service": ("det", 8.33)}),
+        ("pcm", {"arrival_rate": 0.06, "service": ("discrete", SEEK_SIZES),
+                 "rebuild_service": ("erlang", 2, 8.0)}),
+    ], ids=["priority-det-erlang", "priority-uniform-discrete", "vsm-det",
+            "vsm-preempt", "vsm-split-seek", "vsm-zero-vacations", "pcm-det",
+            "pcm-discrete-erlang"])
+    @pytest.mark.parametrize("seed", [3, 19])
+    def test_result_dict_bit_identical(self, model, params, seed):
+        got = sim_queue(model, params, n_customers=25_000, warmup=2_500,
+                        seed=seed)
+        want = REFERENCE_LOOPS[model](params, 25_000, 2_500, _rng(seed),
+                                      0.95, 20)
+        assert got == want
 
 
 class TestTightOracle:
