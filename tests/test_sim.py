@@ -565,8 +565,8 @@ class TestQueueSim:
             sim_queue(model, params, n_customers=1000, warmup=warmup)
 
 
-# The event loops as they were before they read their arrays through
-# memoryviews: the reference the rewritten loops must match bit for bit.
+# Reference event loops over numpy scalars, deques and lists: the
+# memoryview loops of raidlab.sim must match them bit for bit.
 
 
 def _reference_priority(params, n_customers, warmup, rng, level, n_batches):
@@ -702,7 +702,7 @@ def _reference_pcm(params, n_customers, warmup, rng, level, n_batches):
 
 REFERENCE_LOOPS = {"mg1_priority": _reference_priority,
                    "vsm": _reference_vsm, "pcm": _reference_pcm}
-SEEK_SIZES = DiscreteDist(np.array([2.0, 5.0, 9.0]), np.array([0.5, 0.3, 0.2]))
+DISCRETE = DiscreteDist(np.array([2.0, 5.0, 9.0]), np.array([0.5, 0.3, 0.2]))
 
 
 class TestEventLoopsMatchReference:
@@ -712,13 +712,13 @@ class TestEventLoopsMatchReference:
                           "service_low": ("erlang", 3, 11.0)}),
         ("mg1_priority", {"arrival_rate_high": 0.04, "arrival_rate_low": 0.01,
                           "service_high": ("uniform", 16.0),
-                          "service_low": ("discrete", SEEK_SIZES)}),
+                          "service_low": ("discrete", DISCRETE)}),
         ("vsm", {"arrival_rate": 0.05, "service": ("exp", 10.0),
                  "vacation1": ("det", 12.0), "vacation2": ("det", 8.0)}),
         ("vsm", {"arrival_rate": 0.05, "service": ("erlang", 2, 10.0),
                  "vacation1": ("exp", 12.0), "vacation2": ("uniform", 16.0),
                  "preempt": True}),
-        ("vsm", {"arrival_rate": 0.05, "service": ("discrete", SEEK_SIZES),
+        ("vsm", {"arrival_rate": 0.05, "service": ("discrete", DISCRETE),
                  "vacation1": ("det", 12.0), "vacation2": ("exp", 8.0),
                  "split_seek": True, "vacation1_seek": ("uniform", 8.0),
                  "read_part": ("det", 4.0)}),
@@ -726,7 +726,7 @@ class TestEventLoopsMatchReference:
                  "vacation1": ("det", 0.0), "vacation2": ("det", 0.0)}),
         ("pcm", {"arrival_rate": 0.05, "service": ("exp", 10.0),
                  "rebuild_service": ("det", 8.33)}),
-        ("pcm", {"arrival_rate": 0.06, "service": ("discrete", SEEK_SIZES),
+        ("pcm", {"arrival_rate": 0.06, "service": ("discrete", DISCRETE),
                  "rebuild_service": ("erlang", 2, 8.0)}),
     ], ids=["priority-det-erlang", "priority-uniform-discrete", "vsm-det",
             "vsm-preempt", "vsm-split-seek", "vsm-zero-vacations", "pcm-det",
