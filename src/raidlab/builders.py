@@ -6,8 +6,6 @@ them (primality, divisibility) and raise ValueError otherwise.  The GF(2)
 builders state only their parity groups and placement maps, through `_xor`.
 """
 
-from dataclasses import replace
-
 from . import gf
 from .codes import (CodeSpec, find_lrc_coefficients, grid_compose,
                     recoverable_fraction)
@@ -136,8 +134,9 @@ def spc(n_data):
 
 def hvpc(k1, k2):
     """Horizontal+vertical parity grid with the shared corner parity."""
-    return replace(grid_compose(spc, spc, k1, k2),
-                   name="hvpc(%d,%d)" % (k1, k2))
+    code = grid_compose(spc, spc, k1, k2)
+    code.name = "hvpc(%d,%d)" % (k1, k2)  # the compiled forms stay valid
+    return code
 
 
 def rm2(n=7, m=3):
@@ -167,9 +166,11 @@ def rm2(n=7, m=3):
     return _xor("rm2(7,3)", data, groups, column_map, row_map)
 
 
-def _lrc(name, groups, local_ids, global_ids):
+def _lrc(name, groups, local_ids, global_ids, split=None):
     """Data-LRC over GF(256): one XOR local parity per data group, then
-    global parities sum_i alpha_i^(j+1) d_i over all data, alpha_i = g^i."""
+    global parities sum_i alpha_i^(j+1) d_i over all data, alpha_i = g^i.
+    Given `split`, the local parities split that parity of an MDS base code,
+    and the code records the base view for two-phase decoding."""
     field = gf.GF256
     data = tuple(d for g in groups for d in g)
     equations = []
@@ -188,21 +189,11 @@ def _lrc(name, groups, local_ids, global_ids):
         check_ids=tuple(local_ids) + tuple(global_ids),
         equations=tuple(equations),
         group_map=group_map,
+        base_view=split and {
+            "virtuals": {split: tuple((l, 1) for l in local_ids)},
+            "equations": (tuple((d, 1) for d in data) + ((split, 1),),)
+            + tuple(terms for _, terms in equations[len(groups):])},
     )
-
-
-def _pyramid(groups, n_global, name):
-    """Data-LRC built from an MDS code by splitting its first parity into one
-    local parity per group.  Records the base view for two-phase decoding."""
-    locals_ = tuple("c1_%d" % (g + 1) for g in range(len(groups)))
-    globals_ = tuple("c%d" % (j + 2) for j in range(n_global))
-    code = _lrc(name, groups, locals_, globals_)
-    split = tuple((d, 1) for d in code.data_ids) + (("p1", 1),)
-    return replace(code, base_view={
-        "virtuals": {"p1": tuple((l, 1) for l in locals_)},
-        "equations": (split,) + tuple(
-            terms for _, terms in code.equations[len(groups):]),
-    })
 
 
 def pyramid_8_2_2():
@@ -210,14 +201,16 @@ def pyramid_8_2_2():
     12-symbol pyramid built from an 11-symbol MDS code)."""
     g1 = tuple("d%d" % i for i in range(1, 5))
     g2 = tuple("d%d" % i for i in range(5, 9))
-    return _pyramid([g1, g2], 2, "pyramid(8,2,2)")
+    return _lrc("pyramid(8,2,2)", [g1, g2], ("c1_1", "c1_2"), ("c2", "c3"),
+                split="p1")
 
 
 def pyramid_12_2_2():
     """12 data in two groups of six, 2 local + 3 global parities."""
     g1 = tuple("d%d" % i for i in range(1, 7))
     g2 = tuple("d%d" % i for i in range(7, 13))
-    return _pyramid([g1, g2], 3, "pyramid(12,2,2)")
+    return _lrc("pyramid(12,2,2)", [g1, g2], ("c1_1", "c1_2"),
+                ("c2", "c3", "c4"), split="p1")
 
 
 def azure_lrc(n, k, r):

@@ -17,7 +17,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, islice, product
+from itertools import chain, combinations, compress, islice, product
 
 import numpy as np
 
@@ -313,6 +313,22 @@ def loss_coefficients(code, granularity="symbol", budget=DEFAULT_BUDGET):
     return coeffs
 
 
+def recoverable_sets(code, granularity="symbol", budget=DEFAULT_BUDGET):
+    """Every recoverable set of failed units as a bitmask over the indices
+    of `code.columns()` or `code.symbols`, by size from the empty set up.
+    Subsets of recoverable sets are recoverable, so the walk stops at the
+    first size without one; over the budget, it raises BudgetExceeded."""
+    units = len(code._column_masks) if granularity == "column" else code.n
+    masks = [0]
+    for size, _, verdicts in _walk(code, granularity, budget):
+        found = [sum(1 << u for u in c) for c in compress(
+            combinations(range(units), size), chain.from_iterable(verdicts))]
+        if not found:
+            break
+        masks += found
+    return masks
+
+
 def classify_array_code(code, n, m, r, s, budget=DEFAULT_BUDGET):
     """Classify as PMDS, SD or neither.
 
@@ -539,10 +555,9 @@ def grid_compose(row_factory, col_factory, k1, k2):
     identities by construction.
     """
     row_proto = row_factory(k2)
-    col_rows = k1
     row_checks = len(row_proto.check_ids)
     width = k2 + row_checks
-    col_proto = col_factory(col_rows)
+    col_proto = col_factory(k1)
     col_checks = len(col_proto.check_ids)
 
     def cell(i, j):
@@ -578,10 +593,7 @@ def grid_compose(row_factory, col_factory, k1, k2):
         for cid, terms in col_proto.equations:
             equations.append((mapping[cid],
                               tuple((mapping[s], c) for s, c in terms)))
-    row_map = {}
-    for s in data + checks:
-        i = int(s[1:].split("_")[0])
-        row_map[s] = i
+    row_map = {s: int(s[1:].split("_")[0]) for s in data + checks}
     return CodeSpec(
         name="grid(%s,%s,%dx%d)" % (row_proto.name, col_proto.name, k1, k2),
         field=row_proto.field,

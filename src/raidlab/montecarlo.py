@@ -134,10 +134,15 @@ def hraid_block(rng, size, cfg):
     return race(rng, size, state, step)
 
 
-def loop_block(rng, size, n, delta, mu, regime, lost):
-    """The component event loop of ``sim.sim_generic_mttdl``: per row, a
-    failed-component mask and its count.  lost(failed, down, is_fail) is the
-    loss test of the rows just stepped."""
+def loop_block(rng, size, n, delta, mu, regime, tolerance, table=None):
+    """The component event loop of ``sim.sim_generic_mttdl`` and
+    ``sim.sim_code_mttdl``: per row, a failed-component mask and its count.
+    A failure loses data when it leaves more than `tolerance` components
+    failed or, given a `table` of the recoverable failed sets as bitmasks
+    over the components, a failed set that the table lacks: one whose
+    little-endian bytes, as np.packbits packs its row, are no table key."""
+    keys = None if table is None else \
+        frozenset(m.to_bytes(-(-n // 8), "little") for m in table)
     state = {"failed": np.zeros((size, n), dtype=bool),
              "down": np.zeros(size, dtype=np.int64)}
     if regime == "chen":
@@ -161,32 +166,15 @@ def loop_block(rng, size, n, delta, mu, regime, lost):
             s["since"][rows, col] = np.where(is_fail, tick, never)
         failed[rows, col] = is_fail
         down += 2 * is_fail - 1
-        return total, np.where(is_fail & lost(failed, down, is_fail), 0, -1)
+        lost = is_fail & (down > tolerance)
+        if keys is not None:
+            rows = np.flatnonzero(is_fail & ~lost)
+            packed = np.packbits(failed[rows], axis=1, bitorder="little")
+            lost[rows] = [key not in keys for key in
+                          packed.view("V%d" % packed.shape[1])[:, 0].tolist()]
+        return total, np.where(lost, 0, -1)
 
     return race(rng, size, state, step)
-
-
-def memo_loss(predicate):
-    """Loss test of the failed rows that `predicate(failed_ids)` decides,
-    asked once per distinct failed set through a memo keyed by the set's
-    bitmask."""
-    memo = {}
-
-    def lost(failed, down, is_fail):
-        out = np.zeros(down.size, dtype=bool)
-        rows = np.flatnonzero(is_fail)
-        packed = np.packbits(failed[rows], axis=1, bitorder="little")
-        verdicts = []
-        keys = packed.view("V%d" % packed.shape[1])[:, 0].tolist()
-        for key, row in zip(keys, rows):
-            if key not in memo:
-                ids = np.flatnonzero(failed[row]).tolist()
-                memo[key] = bool(predicate(frozenset(ids)))
-            verdicts.append(memo[key])
-        out[rows] = verdicts
-        return out
-
-    return lost
 
 
 def window_lost(mask, r, s):

@@ -59,10 +59,6 @@ class WaitStats:
         return self.response
 
 
-def _rho(arrival_rate, svc):
-    return arrival_rate / MS_PER_S * svc.m1
-
-
 def mg1_wait(arrival_rate, svc):
     """Pollaczek-Khinchine mean and second moment of the M/G/1 wait.
 

@@ -127,13 +127,10 @@ def _bd_absorption_times(n, kappa, delta, mu, regime, rng, reps):
     rate).  Distribution-exact, so it is an honest Monte-Carlo estimate.
     """
     levels = kappa + 1
-    lam = np.array([(n - i) * delta for i in range(levels)])
-    if regime == "angus":
-        rep_rate = np.array([i * mu for i in range(levels)])
-    elif regime == "chen":
-        rep_rate = np.array([mu if i > 0 else 0.0 for i in range(levels)])
-    else:
-        raise ValueError("regime must be 'angus' or 'chen'")
+    failed = np.arange(levels)
+    lam = (n - failed) * delta
+    rep_rate = failed * mu if regime == "angus" else \
+        np.where(failed > 0, mu, 0.0)
     p_up = lam / (lam + rep_rate)
     visits = np.zeros((levels, reps), dtype=np.int64)
     top = levels - 1
@@ -145,8 +142,7 @@ def _bd_absorption_times(n, kappa, delta, mu, regime, rng, reps):
         downs = visits[i] - ups_needed
         ups_needed = visits[i] - downs_from_above
         downs_from_above = downs
-    if levels > 1:
-        visits[0] = downs_from_above + 1
+    visits[0] = downs_from_above + 1  # with one level, the same draw
     times = np.zeros(reps)
     for i in range(levels):
         rate = lam[i] + rep_rate[i]
@@ -154,51 +150,61 @@ def _bd_absorption_times(n, kappa, delta, mu, regime, rng, reps):
     return times
 
 
-def sim_generic_mttdl(n, delta, mu, regime="angus", tolerance=None,
-                      predicate=None, reps=10_000, seed=0, level=0.95,
-                      method="auto"):
-    """MTTDL of n components failing at rate delta with repair rate mu.
-
-    regime "chen" repairs one component at a time, oldest failure first;
-    "angus" repairs every failed component concurrently.  Loss is
-    |failed| > tolerance, or the first failed set (a frozenset of component
-    ids) for which `predicate(failed_ids)` is True; the predicate is asked
-    once per distinct set.  With a plain tolerance the exact birth-death
-    sampler is used (method="auto"), otherwise an event loop.
-    """
-    if (tolerance is None) == (predicate is None):
-        raise ValueError("give exactly one of tolerance or predicate")
-    if tolerance is not None and method in ("auto", "fast"):
-        rng = _rng(seed)
-        times = _bd_absorption_times(n, tolerance, delta, mu, regime, rng, reps)
-        mean, hw = confidence(times, level)
-        return SimReport("mttdl_hours", mean, hw, level, reps, seed)
+def _check_model(delta, mu, regime):
+    if not (delta > 0 and mu >= 0):
+        raise ValueError("need delta > 0 and mu >= 0, got delta=%r, mu=%r"
+                         % (delta, mu))
     if regime not in ("angus", "chen"):
         raise ValueError("regime must be 'angus' or 'chen'")
-    from . import montecarlo
-    if predicate is None:
-        lost = lambda failed, down, is_fail: down > tolerance
-    else:
-        lost = montecarlo.memo_loss(predicate)
-    (times, _), extras = montecarlo.run(
-        montecarlo.loop_block, (n, delta, mu, regime, lost), seed, reps)
-    mean, hw = confidence(times, level)
-    return SimReport("mttdl_hours", mean, hw, level, reps, seed,
-                     extras=extras)
+
+
+def sim_generic_mttdl(n, delta, mu, regime="angus", tolerance=None,
+                      reps=10_000, seed=0, level=0.95, method="auto"):
+    """MTTDL of n components failing at rate delta with repair rate mu:
+    data is lost at the first failure that leaves more than `tolerance`
+    components failed.
+
+    regime "chen" repairs one component at a time, oldest failure first;
+    "angus" repairs every failed component concurrently.  method "auto" or
+    "fast" samples the birth-death chain exactly; "loop" runs the event
+    loop of ``montecarlo.loop_block`` as a cross-check.  An argument that
+    never loses data or cannot be sampled is a ValueError before any draw."""
+    if method not in ("auto", "fast", "loop"):
+        raise ValueError("unknown method %r" % (method,))
+    if tolerance is None or not 0 <= tolerance < n:
+        raise ValueError("tolerance must be in 0..%d for n=%d components, "
+                         "got %r" % (n - 1, n, tolerance))
+    _check_model(delta, mu, regime)
+    if method == "loop":
+        return _loop_mttdl((n, delta, mu, regime, tolerance), reps, seed,
+                           level)
+    times = _bd_absorption_times(n, tolerance, delta, mu, regime, _rng(seed),
+                                 reps)
+    return SimReport("mttdl_hours", *confidence(times, level), level, reps,
+                     seed)
 
 
 def sim_code_mttdl(code, delta, mu, regime="angus", granularity="column",
                    reps=2000, seed=0, level=0.95):
-    """MTTDL of a device array protected by an erasure code: loss occurs
-    when the failed column set becomes unrecoverable.  Each distinct failed
-    set is decided once per call."""
-    from .codes import is_recoverable
-    units = code.columns() if granularity == "column" else list(code.symbols)
-    return sim_generic_mttdl(
-        len(units), delta, mu, regime,
-        predicate=lambda failed: not is_recoverable(
-            code, [units[i] for i in sorted(failed)], granularity),
-        reps=reps, seed=seed, level=level, method="loop")
+    """MTTDL of a device array protected by an erasure code: data is lost
+    at the first failure whose failed units (columns, or symbols) the code
+    cannot recover.  The event loop looks each failed set up in the code's
+    table of recoverable sets, built once before any draw; a table over
+    the rank-test budget raises BudgetExceeded."""
+    from .codes import recoverable_sets
+    _check_model(delta, mu, regime)
+    table = recoverable_sets(code, granularity)
+    n = len(code.columns()) if granularity == "column" else code.n
+    return _loop_mttdl((n, delta, mu, regime, table[-1].bit_count(), table),
+                       reps, seed, level)
+
+
+def _loop_mttdl(args, reps, seed, level):
+    from . import montecarlo
+    (times, _), extras = montecarlo.run(montecarlo.loop_block, args, seed,
+                                        reps)
+    return SimReport("mttdl_hours", *confidence(times, level), level, reps,
+                     seed, extras=extras)
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +277,7 @@ def sampler(spec):
 
 def spec_mean(spec):
     kind = spec[0]
-    if kind == "exp":
-        return spec[1]
-    if kind == "det":
+    if kind in ("exp", "det"):
         return spec[1]
     if kind == "uniform":
         return spec[1] / 2.0
@@ -332,7 +336,8 @@ def sim_queue(model, params, n_customers=200_000, warmup=10_000, seed=0,
     params is a dict; common keys: arrival_rate (1/ms), service spec.
     Returns a dict with mean wait/response and batch-means CIs.
 
-    Two rules hold for every model; breaking either is a ValueError:
+    Three rules hold for every model; breaking one is a ValueError:
+    - every arrival rate is > 0;
     - stability: rho < 1, with rho the arrival rate times the mean service
       time, summed over both classes for mg1_priority;
     - enough customers: n_customers - warmup >= n_batches, so every batch
@@ -349,6 +354,10 @@ def sim_queue(model, params, n_customers=200_000, warmup=10_000, seed=0,
         rho = params["arrival_rate"] * spec_mean(params["service"])
     else:
         raise ValueError("unknown queue model %r" % (model,))
+    for key in [k for k in params if k.startswith("arrival_rate")]:
+        if not params[key] > 0:
+            raise ValueError("%s queue needs %s > 0, got %r"
+                             % (model, key, params[key]))
     if rho >= 1:
         raise ValueError("unstable: rho=%.3f" % rho)
     if model != "mg1_priority":  # which checks each class on its own

@@ -338,7 +338,10 @@ class TestMoreCommands:
                                      "service": ["exp", 10.0]},
           "replications": 5000},
          "n_customers=5000 less warmup=10000"),
-    ], ids=["overload", "too-few-customers"])
+        ({"model": "mg1", "params": {"arrival_rate": 0.0,
+                                     "service": ["exp", 10.0]}},
+         "mg1 queue needs arrival_rate > 0, got 0.0"),
+    ], ids=["overload", "too-few-customers", "zero-arrival-rate"])
     def test_sim_queue_domain_error_exit_3(self, tmp_path, capsys, sim,
                                            detail):
         cfg = tmp_path / "cfg.json"
@@ -350,6 +353,19 @@ class TestMoreCommands:
         assert err["error"] == "domain"
         assert detail in err["detail"]
         assert not (tmp_path / "q.json").exists()
+
+    def test_generic_tolerance_of_every_component_exit_3(self, tmp_path,
+                                                          capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"version": "1", "sim": {
+            "kind": "generic", "components": 10, "tolerance": 10,
+            "delta": 0.001, "mu": 1.0}}))
+        assert run_cli(["sim", "reliability", "--config", str(cfg),
+                        "--out", "g"], tmp_path) == 3
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"error": "domain", "detail": "tolerance must be in "
+                       "0..9 for n=10 components, got 10"}
+        assert not (tmp_path / "g.json").exists()
 
     def test_resch_table_preset_row_per_config(self, tmp_path):
         assert run_cli(["sim", "reliability", "--preset", "resch-table",

@@ -442,6 +442,64 @@ class TestLossCoefficients:
         assert math.comb(8, 3) - a[3] == 4
 
 
+def _subset_mask(units):
+    return sum(1 << u for u in units)
+
+
+class TestRecoverableSets:
+    def test_every_recoverable_column_set_of_small_builders(self):
+        checked = 0
+        for name in builders.BUILDERS:
+            code = builders.build_code(name, **SMALL_PARAMS.get(name, {}))
+            cols = code.columns()
+            if len(cols) > 12:
+                continue
+            table = codes.recoverable_sets(code, "column")
+            want = [_subset_mask(c) for f in range(len(cols) + 1)
+                    for c in combinations(range(len(cols)), f)
+                    if is_recoverable(code, [cols[i] for i in c], "column")]
+            assert len(table) == len(set(table))
+            assert set(table) == set(want), name
+            checked += 1
+        assert checked >= 15
+
+    @pytest.mark.parametrize("make", [
+        builders.xorbas_16_10_5, lambda: builders.azure_lrc(16, 12, 4),
+        builders.pyramid_12_2_2,
+    ], ids=["xorbas", "azure_lrc_16_12_4", "pyramid_12_2_2"])
+    def test_large_codes_against_coefficients_and_samples(self, make):
+        code = make()
+        cols = code.columns()
+        table = codes.recoverable_sets(code, "column")
+        sizes = [m.bit_count() for m in table]
+        assert sizes == sorted(sizes)
+        coeffs = loss_coefficients(code, "column")
+        assert [sizes.count(i) for i in range(len(coeffs))] == coeffs
+        table = set(table)
+        rng = np.random.default_rng(500)
+        for _ in range(500):
+            units = np.flatnonzero(rng.random(len(cols)) < 0.35).tolist()
+            assert (_subset_mask(units) in table) == \
+                is_recoverable(code, [cols[i] for i in units], "column")
+
+    def test_symbol_granularity_indexes_symbols(self):
+        code = builders.mds42()  # 4 columns of 2 symbols
+        table = set(codes.recoverable_sets(code, "symbol"))
+        # two whole columns are recoverable, three are not
+        index = {s: i for i, s in enumerate(code.symbols)}
+        column = {c: _subset_mask(index[s] for s, cc in code.column_map.items()
+                                  if cc == c) for c in code.columns()}
+        assert column[0] | column[1] in table
+        assert column[0] | column[1] | column[2] not in table
+
+    def test_over_budget_raises_and_is_never_cut_short(self):
+        code = builders.rdp(7)  # 48 symbols
+        with pytest.raises(BudgetExceeded):
+            codes.recoverable_sets(code, "symbol", budget=1000)
+        assert len(codes.recoverable_sets(code, "column", budget=1000)) == \
+            sum(loss_coefficients(code, "column"))
+
+
 class TestEnumeratorConsistency:
     @pytest.mark.parametrize("make,granularity", [
         (lambda: builders.rdp(5), "column"),

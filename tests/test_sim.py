@@ -1,11 +1,12 @@
 import math
 from collections import deque
+from itertools import combinations
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from raidlab import builders
+from raidlab import builders, montecarlo
 from raidlab.ctmc import mean_time_to_absorption, build_ctmc
 from raidlab.declustering import CopysetScheme
 from raidlab.disk import DiscreteDist, MomentSet
@@ -269,19 +270,24 @@ class TestGenericMttdl:
         assert rep.extras["events"] >= rep.replications
 
     @pytest.mark.parametrize("regime", ["angus", "chen"])
-    def test_repair_pick(self, regime):
+    def test_repair_pick(self, regime, monkeypatch):
         # one replication at a time, its failed set recorded after every
         # event: chen repairs the oldest failure, angus a random one
+        history = []
+        real_race = montecarlo.race
+
+        def recording_race(rng, size, state, step):
+            def recorded(s, rng, tick):
+                out = step(s, rng, tick)
+                history.append(s["failed"][0].copy())
+                return out
+            return real_race(rng, size, state, recorded)
+
+        monkeypatch.setattr(montecarlo, "race", recording_race)
         oldest_first = repairs = 0
         for seed in range(40):
-            history = [np.zeros(6, dtype=bool)]
-
-            def lost(failed, down, is_fail):
-                history.append(failed[0].copy())
-                return down > 3
-
-            loop_block(np.random.default_rng(seed), 1, 6, 0.3, 1.0, regime,
-                        lost)
+            history[:] = [np.zeros(6, dtype=bool)]
+            loop_block(np.random.default_rng(seed), 1, 6, 0.3, 1.0, regime, 3)
             queue = []
             for before, after in zip(history, history[1:]):
                 (col,) = np.flatnonzero(before != after)
@@ -321,25 +327,105 @@ class TestGenericMttdl:
     def test_code_predicate_decides_each_failed_set_once(self, monkeypatch):
         from raidlab import codes
         asked = []
-        real = codes.is_recoverable
+        real = codes._verdicts
 
-        def counting(code, erasures, granularity="symbol"):
-            asked.append(frozenset(erasures))
-            return real(code, erasures, granularity)
+        def counting(code, patterns):
+            patterns = list(patterns)
+            asked.extend(map(frozenset, patterns))
+            return real(code, patterns)
 
-        monkeypatch.setattr(codes, "is_recoverable", counting)
+        monkeypatch.setattr(codes, "_verdicts", counting)
         code = builders.was_lrc_6_2_2()
         rep = sim_code_mttdl(code, 0.1, 1.0, regime="angus", reps=100,
                              seed=7)
         assert 0 < len(asked) == len(set(asked))
-        # the estimate of the plain, unmemoised predicate, bit for bit
+        # the estimate of a loss test that asks is_recoverable about every
+        # column set, with no walk and no early stop, bit for bit
         cols = code.columns()
-        ref = sim_generic_mttdl(
-            len(cols), 0.1, 1.0, regime="angus", reps=100, seed=7,
-            predicate=lambda failed: not real(
-                code, [cols[i] for i in failed], "column"))
-        assert (rep.estimate, rep.half_width) == \
-            (ref.estimate, ref.half_width)
+        table = [sum(1 << i for i in c) for f in range(len(cols) + 1)
+                 for c in combinations(range(len(cols)), f)
+                 if codes.is_recoverable(code, [cols[i] for i in c], "column")]
+        (times, _), _ = montecarlo.run(
+            loop_block, (len(cols), 0.1, 1.0, "angus", len(cols), table),
+            7, 100)
+        ref = confidence(times)
+        assert (rep.estimate, rep.half_width) == ref
+
+    @pytest.mark.parametrize("make,delta,mu,regime,reps,seed,want", [
+        (builders.was_lrc_6_2_2, 0.1, 1.0, "angus", 100, 7,
+         (126.73713277163121, 21.867195813067287, 22782)),
+        (builders.was_lrc_6_2_2, 0.1, 1.0, "chen", 200, 7,
+         (23.582204621368973, 3.172903273671969, 7390)),
+        (lambda: builders.raid5(6), 1e-4, 0.05, "chen", 3000, 17,
+         (170810.5160307761, 6138.602174650611, 606564)),
+    ], ids=["was_lrc-angus", "was_lrc-chen", "raid5"])
+    def test_code_kind_pinned(self, make, delta, mu, regime, reps, seed,
+                              want):
+        # measured through the memoised is_recoverable predicate that the
+        # recoverable-set table replaced
+        rep = sim_code_mttdl(make(), delta, mu, regime=regime, reps=reps,
+                             seed=seed)
+        assert (rep.estimate, rep.half_width, rep.extras["events"]) == want
+
+    def test_code_kind_never_asks_is_recoverable(self, monkeypatch):
+        from raidlab import codes
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("is_recoverable called")
+
+        monkeypatch.setattr(codes, "is_recoverable", refuse)
+        rep = sim_code_mttdl(builders.was_lrc_6_2_2(), 0.1, 1.0,
+                             regime="chen", reps=200, seed=7)
+        assert rep.estimate == 23.582204621368973
+
+    def test_code_kind_worker_count_invisible(self):
+        from raidlab import codes
+        code = builders.was_lrc_6_2_2()
+        table = codes.recoverable_sets(code, "column")
+        args = (len(code.columns()), 0.1, 1.0, "chen",
+                table[-1].bit_count(), table)
+        assert not any(map(callable, args))
+        one = montecarlo.run(loop_block, args, 7, 2 * BLOCK + 5, jobs=1)
+        two = montecarlo.run(loop_block, args, 7, 2 * BLOCK + 5, jobs=2)
+        assert one[1] == two[1] == {"events": one[1]["events"], "blocks": 3}
+        for a, b in zip(one[0], two[0], strict=True):
+            assert np.array_equal(a, b)
+
+
+class TestGenericMttdlInputs:
+    """Arguments that never lose data or cannot be sampled are rejected by
+    name before any draw."""
+
+    @pytest.fixture(autouse=True)
+    def no_draws(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a draw started")
+
+        monkeypatch.setattr(montecarlo, "run", refuse)
+        monkeypatch.setattr("raidlab.sim._bd_absorption_times", refuse)
+
+    def test_loop_tolerance_at_n_rejected_without_starting_the_loop(self):
+        # the loop itself would never end: repairs keep the event rate > 0
+        with pytest.raises(ValueError, match="tolerance must be in 0..9 for "
+                                             "n=10 components, got 10"):
+            sim_generic_mttdl(10, 0.1, 1.0, tolerance=10, method="loop")
+
+    def test_birth_death_tolerance_above_n_rejected(self):
+        with pytest.raises(ValueError, match="in 0..9 .*, got 11"):
+            sim_generic_mttdl(10, 0.1, 1.0, tolerance=11)
+
+    def test_negative_tolerance_rejected(self):
+        with pytest.raises(ValueError, match="in 0..9 .*, got -1"):
+            sim_generic_mttdl(10, 0.1, 1.0, tolerance=-1)
+
+    def test_zero_failure_rate_rejected(self):
+        with pytest.raises(ValueError, match="need delta > 0 and mu >= 0, "
+                                             "got delta=0,"):
+            sim_generic_mttdl(10, 0, 1.0, tolerance=2)
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match="unknown method 'bogus'"):
+            sim_generic_mttdl(10, 0.1, 1.0, tolerance=2, method="bogus")
 
 
 def _random_scheme_lost(failed, n, r, s):
@@ -563,6 +649,29 @@ class TestQueueSim:
         with pytest.raises(ValueError, match="n_customers=1000.*warmup=%d"
                                              ".*n_batches=20" % warmup):
             sim_queue(model, params, n_customers=1000, warmup=warmup)
+
+    @pytest.mark.parametrize("rate", [0.0, -0.05])
+    @pytest.mark.parametrize("model,params,key", [
+        ("mg1", {"service": ("exp", 10.0)}, "arrival_rate"),
+        ("gim1_erlang2", {"service_mean": 10.0}, "arrival_rate"),
+        ("fj", {"ways": 2, "service": ("exp", 10.0)}, "arrival_rate"),
+        ("vsm", {"service": ("exp", 10.0), "vacation1": ("det", 12.0),
+                 "vacation2": ("det", 8.0)}, "arrival_rate"),
+        ("pcm", {"service": ("exp", 10.0),
+                 "rebuild_service": ("det", 8.33)}, "arrival_rate"),
+        ("mg1_priority", {"arrival_rate_low": 0.02,
+                          "service_high": ("exp", 10.0),
+                          "service_low": ("exp", 10.0)}, "arrival_rate_high"),
+        ("mg1_priority", {"arrival_rate_high": 0.02,
+                          "service_high": ("exp", 10.0),
+                          "service_low": ("exp", 10.0)}, "arrival_rate_low"),
+    ], ids=["mg1", "gim1_erlang2", "fj", "vsm", "pcm", "mg1_priority-high",
+            "mg1_priority-low"])
+    def test_arrival_rate_must_be_positive(self, model, params, key, rate):
+        with pytest.raises(ValueError, match="%s queue needs %s > 0, got %r"
+                                             % (model, key, rate)):
+            sim_queue(model, {key: rate, **params}, n_customers=1000,
+                      warmup=100)
 
 
 # Reference event loops over numpy scalars, deques and lists: the
