@@ -11,7 +11,7 @@ import os
 import sys
 import time
 
-from . import builders, codes, declustering, reliability as rel
+from . import codes, declustering, reliability as rel
 from . import ctmc as ctmcmod
 from . import disk as diskmod
 from . import queueing as qmod

@@ -8,9 +8,10 @@ erased columns.
 Each CodeSpec compiles its equations once, into the read-only uint8
 parity-check matrix `_H` and one support bitmask per row; the field tables
 live on `gf.Field`.  An erasure pattern is a bitmask over symbol indices.
-Enumerations decide BLOCK patterns per call of the batched `gf.eliminate`; a
-single pattern is peeled on the row supports first, and what is left goes
-through the same kernel as a batch of one.
+Enumerations decide BLOCK patterns per call of the batched `gf.eliminate`.
+A single pattern is peeled on the row supports first; what is left, the
+peel residual, is looked up in the code's verdict memo and, on a miss, goes
+through the same kernel as a batch of one, once per residual and code.
 """
 
 import math
@@ -26,6 +27,8 @@ from . import gf
 DEFAULT_BUDGET = 5_000_000  # rank tests per enumeration call, overridable
 # patterns decided per kernel call: bounds the working set of an enumeration
 BLOCK = 256
+# peel residuals whose verdict a code keeps; a full memo is emptied at once
+MEMO_LIMIT = 1 << 16
 
 
 class BudgetExceeded(Exception):
@@ -78,6 +81,8 @@ class CodeSpec:
         for s, col in self.column_map.items():
             self._column_masks[col] = \
                 self._column_masks.get(col, 0) | 1 << self._index[s]
+        # is_recoverable's verdicts: peel residual mask -> bool
+        self._memo = {}
         # the base view over the symbols followed by its virtual symbols: the
         # matrix, its row supports, their union, and (bit, mask of its parts)
         # for each virtual symbol
@@ -196,9 +201,28 @@ def _solvable(field, h, support, erased):
 
 
 def is_recoverable(code, erasures, granularity="symbol"):
-    """True iff the erased symbols are uniquely determined by the survivors."""
-    return _solvable(code.field, code._H, code._support,
-                     _expand(code, erasures, granularity))
+    """True iff the erased symbols are uniquely determined by the survivors.
+
+    The pattern is peeled on the row supports; an empty residual is
+    recoverable.  Otherwise the verdict on the residual mask is read from
+    the code's memo, or decided by `_solvable` and stored there.  Each
+    peeled symbol is solved from symbols already known, so a pattern is
+    recoverable iff its residual is, and patterns with one residual share
+    one entry.  The memo is sound because `_H` and `_support` are compiled
+    once and read-only; it holds at most MEMO_LIMIT residuals and is emptied
+    when full.  Every call still checks its units and granularity.
+    """
+    erased = _peel(code._support, _expand(code, erasures, granularity))
+    if not erased:
+        return True
+    memo = code._memo
+    verdict = memo.get(erased)
+    if verdict is None:
+        if len(memo) >= MEMO_LIMIT:
+            memo.clear()
+        verdict = memo[erased] = _solvable(code.field, code._H,
+                                           code._support, erased)
+    return verdict
 
 
 def _base_view_recoverable(code, erased):

@@ -11,7 +11,6 @@ import csv
 import functools
 import io
 import json
-import time
 from dataclasses import dataclass, field
 from importlib import resources
 

@@ -8,7 +8,7 @@ the balance goals at a fraction of the lookup cost.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disk import MomentSet
 
 MS_PER_S = 1000.0
 

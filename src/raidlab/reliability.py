@@ -8,8 +8,6 @@ Rates are per hour throughout (delta = 1/MTTF, mu = 1/MTTR).
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import ctmc as ctmcmod
 
 

@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .disk import DiscreteDist
-
 
 def _rng(seed):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
@@ -294,12 +292,15 @@ def _lindley_waits(arrivals_inter, services):
     W_{n+1} = max(0, W_n + S_n - A_{n+1}) ==> W_n = C_{n-1} - min(0,
     running min of C) with C the cumulative sum of S - A.
     """
-    x = services[:-1] - arrivals_inter[1:]
-    c = np.cumsum(x)
-    floor = np.minimum.accumulate(np.minimum(c, 0.0))
+    # in place, so at most three customer arrays are live, not five; the
+    # arithmetic is unchanged
+    c = np.subtract(services[:-1], arrivals_inter[1:])
+    np.cumsum(c, out=c)
+    floor = np.minimum(c, 0.0)
+    np.minimum.accumulate(floor, out=floor)
     waits = np.empty(len(services))
     waits[0] = 0.0
-    waits[1:] = c - floor
+    np.subtract(c, floor, out=waits[1:])
     return waits
 
 
@@ -392,7 +393,7 @@ def sim_queue(model, params, n_customers=200_000, warmup=10_000, seed=0,
         resp = np.empty((n_ways, n_customers))
         for b in range(n_ways):
             serv = svc(rng, n_customers)
-            resp[b] = _lindley_waits(inter, serv) + serv
+            np.add(_lindley_waits(inter, serv), serv, out=resp[b])
         fj = resp.max(axis=0)[warmup:]
         rm, rh = _batch_ci(fj, n_batches, level)
         branch = resp[:, warmup:].mean()

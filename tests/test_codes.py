@@ -1,14 +1,14 @@
 import json
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from raidlab import builders, codes, gf
+from raidlab import builders, codes, ctmc, gf
 from raidlab.codes import (
     BudgetExceeded, UnrecoverableError, classify_array_code, decode, encode,
     encode_xor_count, erasure_tolerance, find_lrc_coefficients,
@@ -660,6 +660,150 @@ class TestSerialization:
         code = builders.azure_lrc(10, 6, 3)
         back = codes.from_json(codes.to_json(code))
         assert codes.repair_metrics(back)["ARC"] == pytest.approx(3.6)
+
+
+def _unit_patterns(code, granularity, largest=3):
+    """Every pattern of up to `largest` of the code's units, by size and
+    in the combinations order of `codes._walk`."""
+    units = code.columns() if granularity == "column" else list(code.symbols)
+    return [p for f in range(largest + 1) for p in combinations(units, f)]
+
+
+def _walk_verdicts(code, granularity, largest=3):
+    """The batched walker's verdicts on the patterns of `_unit_patterns`."""
+    out = [True]  # the empty pattern
+    for f in range(1, largest + 1):
+        (_, _, verdicts), = codes._walk(code, granularity,
+                                        codes.DEFAULT_BUDGET, size=f)
+        out += chain.from_iterable(verdicts)
+    return out
+
+
+def _column_chain(code, delta, mu):
+    """The failed-column-set chain of a code under per-failure repair, as
+    (edges, chain): each live column fails at delta, each failed column is
+    repaired at mu, and the chain absorbs at the first unrecoverable set."""
+    cols = code.columns()
+    start = frozenset()
+    edges = []
+    todo = [start]
+    seen = {start}
+    while todo:
+        failed = todo.pop()
+        for col in cols:
+            if col in failed:
+                edges.append((failed, failed - {col}, mu))
+                continue
+            nxt = failed | {col}
+            if not is_recoverable(code, sorted(nxt, key=str), "column"):
+                nxt = "loss"
+            elif nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+            edges.append((failed, nxt, delta))
+    return edges, ctmc.build_ctmc(edges, absorbing=["loss"], states=[start])
+
+
+def _small(name):
+    return builders.build_code(name, **SMALL_PARAMS.get(name, {}))
+
+
+class TestVerdictMemo:
+    @pytest.mark.parametrize("granularity", ["symbol", "column"])
+    @pytest.mark.parametrize("name", sorted(builders.BUILDERS))
+    def test_memo_agrees_with_fresh_codes_and_walker(self, name, granularity):
+        patterns = _unit_patterns(_small(name), granularity)
+        want = _walk_verdicts(_small(name), granularity)
+        assert len(want) == len(patterns)
+        fresh = _small(name)
+        assert fresh._memo == {}
+        cold_memo = []
+        for p in patterns:  # a memo that has seen no other pattern
+            fresh._memo.clear()
+            cold_memo.append(is_recoverable(fresh, p, granularity))
+        assert cold_memo == want
+        for order in (patterns, patterns[::-1]):
+            code = _small(name)
+            cold = [is_recoverable(code, p, granularity) for p in order]
+            warm = [is_recoverable(code, p, granularity) for p in order]
+            expected = want if order is patterns else want[::-1]
+            assert cold == expected
+            assert warm == expected
+            assert all(type(v) is bool for v in cold + warm)
+
+    @pytest.mark.parametrize("granularity", ["symbol", "column"])
+    @pytest.mark.parametrize("name", sorted(builders.BUILDERS))
+    def test_warm_code_still_rejects_bad_units(self, name, granularity):
+        code = _small(name)
+        patterns = _unit_patterns(code, granularity)
+        for p in patterns:
+            is_recoverable(code, p, granularity)
+        for p in patterns[::max(1, len(patterns) // 40)]:
+            with pytest.raises(ValueError, match="has no"):
+                is_recoverable(code, p + ("no-such-unit",), granularity)
+            with pytest.raises(ValueError, match="granularity"):
+                is_recoverable(code, p, "row")
+
+    @pytest.mark.parametrize("granularity", ["symbol", "column"])
+    @pytest.mark.parametrize("name", sorted(builders.BUILDERS))
+    def test_capped_memo_stays_bounded_and_right(self, name, granularity,
+                                                 monkeypatch):
+        limit = 2
+        monkeypatch.setattr(codes, "MEMO_LIMIT", limit)
+        code = _small(name)
+        patterns = _unit_patterns(code, granularity)
+        want = _walk_verdicts(code, granularity)
+        got, clears = [], 0
+        for p in patterns + patterns[::-1]:
+            before = set(code._memo)
+            got.append(is_recoverable(code, p, granularity))
+            clears += not before <= code._memo.keys()
+            assert len(code._memo) <= limit
+        assert got == want + want[::-1]
+        if len({codes._peel(code._support,
+                            codes._expand(code, p, granularity))
+                for p in patterns} - {0}) > limit:
+            assert clears, "memo of %d never emptied" % limit
+
+    def test_was_lrc_column_chain_ranks_each_residual_once(self, monkeypatch):
+        code = builders.was_lrc_6_2_2()
+        ranked, solved, residuals = [], [], set()
+        rank, solvable, expand = gf.rank, codes._solvable, codes._expand
+
+        def counted_rank(field, m):
+            ranked.append(m.shape)
+            return rank(field, m)
+
+        def counted_solvable(field, h, support, erased):
+            solved.append(erased)
+            return solvable(field, h, support, erased)
+
+        def noted_expand(code, pattern, granularity):
+            erased = expand(code, pattern, granularity)
+            residuals.add(codes._peel(code._support, erased))
+            return erased
+
+        monkeypatch.setattr(gf, "rank", counted_rank)
+        monkeypatch.setattr(codes, "_solvable", counted_solvable)
+        monkeypatch.setattr(codes, "_expand", noted_expand)
+        first_edges, first = _column_chain(code, 0.1, 1.0)
+        residuals.discard(0)
+        # a residual touched by fewer rows than it has symbols is decided
+        # without a rank test
+        ranks_needed = sum(
+            sum(1 for r in code._support if r & e) >= bin(e).count("1")
+            for e in residuals)
+        assert sorted(solved) == sorted(residuals)
+        assert len(ranked) == ranks_needed > 0
+        ranked.clear()
+        solved.clear()
+        second_edges, second = _column_chain(code, 0.1, 1.0)
+        assert ranked == [] and solved == []
+        assert second_edges == first_edges
+        for built in (first, second):
+            assert len(built.states) == 357
+            mtta, _, _ = ctmc.mean_time_to_absorption(built)
+            assert mtta == pytest.approx(134.06629005793945, rel=1e-9)
 
 
 class TestUpdateCost:

@@ -16,8 +16,9 @@ from raidlab.rebuild import vacation_stats, vsm_wait
 from raidlab.disk import Deterministic
 from raidlab.montecarlo import BLOCK, loop_block, run_blocks, window_lost
 from raidlab.sim import (
-    SimConfig, _batch_ci, _rng, confidence, sampler, sim_code_mttdl,
-    sim_copyset_loss, sim_generic_mttdl, sim_hraid_mttdl, sim_queue,
+    SimConfig, _batch_ci, _lindley_waits, _rng, confidence, sampler,
+    sim_code_mttdl, sim_copyset_loss, sim_generic_mttdl, sim_hraid_mttdl,
+    sim_queue,
 )
 
 
@@ -847,6 +848,45 @@ class TestEventLoopsMatchReference:
         want = REFERENCE_LOOPS[model](params, 25_000, 2_500, _rng(seed),
                                       0.95, 20)
         assert got == want
+
+
+def _lindley_reference(inter, serv):
+    """The vectorized Lindley waits with a new array per step."""
+    x = serv[:-1] - inter[1:]
+    c = np.cumsum(x)
+    floor = np.minimum.accumulate(np.minimum(c, 0.0))
+    waits = np.empty(len(serv))
+    waits[0] = 0.0
+    waits[1:] = c - floor
+    return waits
+
+
+class TestLindleyInPlace:
+    @pytest.mark.parametrize("n", [1, 2, 17, 50_000])
+    @pytest.mark.parametrize("seed", [3, 19])
+    def test_waits_bit_identical(self, n, seed):
+        rng = np.random.default_rng(seed)
+        inter, serv = rng.exponential(10.0, n), rng.exponential(8.0, n)
+        assert _lindley_waits(inter, serv).tobytes() == \
+            _lindley_reference(inter, serv).tobytes()
+
+    @pytest.mark.parametrize("ways", [2, 3])
+    def test_fork_join_dict_bit_identical(self, ways):
+        n, warmup = 25_000, 2_500
+        got = sim_queue("fj", {"arrival_rate": 0.05, "ways": ways,
+                               "service": ("exp", 10.0)},
+                        n_customers=n, warmup=warmup, seed=7)
+        rng, svc = _rng(7), sampler(("exp", 10.0))
+        inter = rng.exponential(1.0 / 0.05, n)
+        resp = np.empty((ways, n))
+        for b in range(ways):
+            serv = svc(rng, n)
+            resp[b] = _lindley_reference(inter, serv) + serv
+        fj = resp.max(axis=0)[warmup:]
+        rm, rh = _batch_ci(fj, 20, 0.95)
+        assert got == {"response": rm, "response_hw": rh,
+                       "branch_response": float(resp[:, warmup:].mean()),
+                       "n": len(fj)}
 
 
 class TestTightOracle:
