@@ -6,9 +6,10 @@ them (primality, divisibility) and raise ValueError otherwise.  The GF(2)
 builders state only their parity groups and placement maps, through `_xor`.
 """
 
+from itertools import chain, combinations
+
 from . import gf
-from .codes import (CodeSpec, find_lrc_coefficients, grid_compose,
-                    recoverable_fraction)
+from .codes import CodeSpec, recoverable_fraction
 
 
 def _is_prime(p):
@@ -124,6 +125,56 @@ def xcode(n):
                 [cell(i, j) for i in range(n - 2) for j in range(n)],
                 groups, {cell(i, j): j for i, j in cells},
                 {cell(i, j): i for i, j in cells})
+
+
+def grid_compose(row_factory, col_factory, k1, k2):
+    """Compose 1-D stripe codes over the rows and columns of a k1 x k2 grid.
+
+    The row code runs over each data row (its checks become extra columns);
+    the column code then runs over every column of the augmented array,
+    including the row-check columns, so corner checks satisfy both marginal
+    identities by construction.
+    """
+    row_proto = row_factory(k2)
+    row_checks = len(row_proto.check_ids)
+    width = k2 + row_checks
+    col_proto = col_factory(k1)
+    col_checks = len(col_proto.check_ids)
+
+    def cell(i, j):
+        return "s%d_%d" % (i, j)
+
+    data = [cell(i, j) for i in range(k1) for j in range(k2)]
+    checks = []
+    equations = []
+    column_map = {}
+    for i in range(k1 + col_checks):
+        for j in range(width):
+            column_map[cell(i, j)] = j
+
+    def place(proto, cells):
+        """One copy of `proto` over `cells`, its data then its checks."""
+        names = dict(zip(proto.symbols, cells))
+        checks.extend(cells[proto.k:])
+        equations.extend((names[cid], tuple((names[s], c) for s, c in terms))
+                         for cid, terms in proto.equations)
+
+    for i in range(k1):  # the row code over each data row
+        cols = chain(range(row_proto.k), range(k2, width))
+        place(row_proto, [cell(i, j) for j in cols])
+    for j in range(width):  # the column code over every column
+        rows = chain(range(col_proto.k), range(k1, k1 + col_checks))
+        place(col_proto, [cell(i, j) for i in rows])
+    row_map = {s: int(s[1:].split("_")[0]) for s in data + checks}
+    return CodeSpec(
+        name="grid(%s,%s,%dx%d)" % (row_proto.name, col_proto.name, k1, k2),
+        field=row_proto.field,
+        data_ids=tuple(data),
+        check_ids=tuple(checks),
+        equations=tuple(equations),
+        column_map=column_map,
+        row_map=row_map,
+    )
 
 
 def spc(n_data):
@@ -263,6 +314,28 @@ def xorbas_16_10_5():
         extra_equations=(implied,),
         group_map=group_map,
     )
+
+
+def find_lrc_coefficients(field=gf.GF16):
+    """Smallest coefficient pair (alphas, betas) making the two-group LRC
+    decode every information-theoretically decodable four-failure pattern.
+
+    All three determinant families must be nonzero for every index choice:
+    the 4x4 case (two failures per group), the 3x3 case (one local parity
+    down), and the 2x2 case (both local parities down).
+    """
+    nonzero = [e for e in field.elements() if e]
+
+    def sums(xs):  # the coefficients and their pairwise sums
+        return {*xs, *(a ^ b for a, b in combinations(xs, 2))}
+
+    # combinations are distinct, so every family is nonzero iff no alpha or
+    # sum of two alphas equals a beta or a sum of two betas
+    for alphas in combinations(nonzero, 3):
+        for betas in combinations(nonzero, 3):
+            if sums(alphas).isdisjoint(sums(betas)):
+                return alphas, betas
+    raise RuntimeError("no admissible coefficients in %r" % (field,))
 
 
 def was_lrc_6_2_2(coefficients=None):

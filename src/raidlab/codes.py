@@ -8,25 +8,34 @@ erased columns.
 Each CodeSpec compiles its equations once, into the read-only uint8
 parity-check matrix `_H` and one support bitmask per row; the field tables
 live on `gf.Field`.  An erasure pattern is a bitmask over symbol indices.
-Enumerations decide BLOCK patterns per call of the batched `gf.eliminate`.
-A single pattern is peeled on the row supports first; what is left, the
-peel residual, is looked up in the code's verdict memo and, on a miss, goes
-through the same kernel as a batch of one, once per residual and code.
+Enumerations run the batched `gf.eliminate` once per block of pattern
+prefixes: consecutive patterns that differ only in their last symbol share
+one elimination of the rest, and a size whose every pattern erases more
+symbols than rank(_H) is decided without one.  A single pattern is peeled
+on the row supports first; what is left, the peel residual, is looked up in
+the code's verdict memo and, on a miss, goes through the same kernel as a
+batch of one, once per residual and code.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, compress, islice, product
+from itertools import (accumulate, chain, combinations, compress, groupby,
+                       islice, product)
+from operator import itemgetter
 
 import numpy as np
 
 from . import gf
 
 DEFAULT_BUDGET = 5_000_000  # rank tests per enumeration call, overridable
-# patterns decided per kernel call: bounds the working set of an enumeration
+# patterns per block where patterns are decided one by one (the local-global
+# decoder, sizes above the rank) and read sets per exact repair-plan call
 BLOCK = 256
+# stack cells (rows x columns x prefixes) per `_verdicts` kernel call, which
+# bound an enumeration's working set (`gf.eliminate` makes intp temporaries,
+# 8 bytes a cell); a call holds at least one prefix
+CELLS = 1 << 14
 # peel residuals whose verdict a code keeps; a full memo is emptied at once
 MEMO_LIMIT = 1 << 16
 
@@ -83,6 +92,9 @@ class CodeSpec:
                 self._column_masks.get(col, 0) | 1 << self._index[s]
         # is_recoverable's verdicts: peel residual mask -> bool
         self._memo = {}
+        # rank(_H), set by the first enumeration: no pattern of more symbols
+        # is recoverable
+        self._rank = None
         # the base view over the symbols followed by its virtual symbols: the
         # matrix, its row supports, their union, and (bit, mask of its parts)
         # for each virtual symbol
@@ -251,18 +263,60 @@ def _base_view_recoverable(code, erased):
 
 
 def _verdicts(code, patterns):
-    """Recoverability of the patterns, tuples of erased symbol indices, as a
-    list of bools per BLOCK of them: full column rank of `_H` on each."""
-    patterns = iter(patterns)
-    while block := list(islice(patterns, BLOCK)):
-        sizes = list(map(len, block))
-        width = max(sizes)
-        if min(sizes) < width:  # a repeated column leaves the rank as it is
-            block = [p + p[:1] * (width - len(p)) for p in block]
-        idx = np.fromiter(chain.from_iterable(block), np.intp)
-        m = code._H[:, idx.reshape(len(block), width).T]
-        ranks = gf.eliminate(code.field, m, width)
-        yield list(map(operator.eq, ranks.tolist(), sizes))
+    """Recoverability of the patterns, non-empty tuples of erased symbol
+    indices, as a list of bools per kernel call: full column rank of `_H`
+    on each.
+
+    Consecutive patterns with the same prefix, all but the last index, share
+    one Gauss-Jordan elimination of the prefix columns, with every column of
+    `_H` carried along as an extra column.  Elimination is a sequence of
+    invertible row operations, so the prefix keeps its rank and each carried
+    column becomes its image x.  The rows left without a pivot are exactly
+    the rows that are zero on every prefix column, so the reduced prefix
+    spans the vectors that are zero on those rows; adding x raises the rank
+    iff x is nonzero on one of them.  A pattern is thus recoverable iff its
+    prefix has full column rank and the carried image of its last column is
+    nonzero on a row without a pivot.  Shorter prefixes, the empty one too,
+    are padded with an all-zero column, which gets no pivot and is zero on
+    every row.  A call stacks whole prefixes while rows x (prefix width + n)
+    x prefixes stays within CELLS, so the calls on prefixes of one width
+    have one shape.
+    """
+    rows, n = code._H.shape
+    h = np.zeros((rows, n + 1), dtype=np.uint8)  # column n stays zero
+    h[:, :n] = code._H
+    block, width = [], 0
+    for prefix, group in groupby(patterns, itemgetter(slice(-1))):
+        w = max(width, len(prefix))
+        if block and rows * (w + n) * (len(block) + 1) > CELLS:
+            yield _prefix_verdicts(code.field, h, block, width)
+            block, w = [], len(prefix)
+        block.append((prefix, list(map(itemgetter(-1), group))))
+        width = w
+    if block:
+        yield _prefix_verdicts(code.field, h, block, width)
+
+
+def _prefix_verdicts(field, h, block, width):
+    """The verdicts on the (prefix, last indices) groups of `block`, in
+    order: one stack of `width` padded prefix columns and the n columns of
+    `_H` per prefix, and one call of `gf.eliminate`."""
+    rows, n = h.shape[0], h.shape[1] - 1
+    idx = []
+    for prefix, _ in block:
+        idx += (*prefix, *[n] * (width - len(prefix)))
+    m = np.empty((rows, width + n, len(block)), dtype=np.uint8)
+    cols = np.array(idx, dtype=np.intp).reshape(len(block), width)
+    m[:, :width] = h[:, cols.T]
+    m[:, width:] = h[:, :n, None]
+    ranks = gf.eliminate(field, m, width).tolist()
+    free = ~m[:, :width].any(axis=1)
+    ok = ((m[:, width:] != 0) & free[:, None]).any(axis=0).T.tolist()
+    out = []
+    for (prefix, lasts), row, rank in zip(block, ok, ranks):
+        out += map(row.__getitem__, lasts) if rank == len(prefix) else \
+            [False] * len(lasts)
+    return out
 
 
 def _walk(code, granularity, budget, decoder="joint", size=None):
@@ -272,7 +326,9 @@ def _walk(code, granularity, budget, decoder="joint", size=None):
     verdicts yields the size's verdicts lazily, as lists of bools over
     blocks of patterns in combinations order, and is charged to the rank-test
     budget when first read, so a size that the caller skips or abandons
-    costs nothing.
+    costs nothing.  Under the joint decoder, a size whose fewest erased
+    symbols exceed rank(_H) is all False, in blocks of BLOCK and with no
+    kernel call.
     """
     if granularity not in ("symbol", "column"):
         raise ValueError("granularity must be 'symbol' or 'column'")
@@ -281,19 +337,32 @@ def _walk(code, granularity, budget, decoder="joint", size=None):
     if decoder == "local-global" and not code.base_view:
         raise ValueError("code %s has no base view" % code.name)
     units = code.columns() if granularity == "column" else list(code.symbols)
+    if size is not None and not 1 <= size <= len(units):
+        raise ValueError("f=%d is outside 1..%d, the %s count of code %s"
+                         % (size, len(units), granularity, code.name))
     masks = [_expand(code, [u], granularity) for u in units]
     parts = [tuple(_bits(m)) for m in masks]
+    # fewest[f]: the fewest symbols that f units erase
+    fewest = list(accumulate(sorted(map(len, parts)), initial=0))
+    if code._rank is None:
+        code._rank = gf.rank(code.field, code._H)
+    symbols = list(chain(*parts))
     spent = 0
 
     def verdicts(f):
         nonlocal spent
-        spent += math.comb(len(units), f)
+        total = math.comb(len(units), f)
+        spent += total
         if spent > budget:
             raise BudgetExceeded("%d patterns exceed the budget of %d"
                                  % (spent, budget))
-        if decoder == "joint":
-            yield from _verdicts(code, (sum(p, ())
-                                        for p in combinations(parts, f)))
+        if decoder == "joint" and fewest[f] > code._rank:
+            for start in range(0, total, BLOCK):
+                yield [False] * min(BLOCK, total - start)
+        elif decoder == "joint":  # with one symbol per unit, no joins
+            yield from _verdicts(code, combinations(symbols, f)
+                                 if len(symbols) == len(parts) else
+                                 (sum(p, ()) for p in combinations(parts, f)))
         else:  # the units' masks are disjoint: their sum is their union
             patterns = combinations(masks, f)
             while block := list(islice(patterns, BLOCK)):
@@ -360,6 +429,8 @@ def classify_array_code(code, n, m, r, s, budget=DEFAULT_BUDGET):
     recoverable.  SD: any m whole columns plus any s more sectors.  The PMDS
     property implies SD; both are decided by exhaustive enumeration.
     """
+    if m + s < 1:
+        raise ValueError("m + s must be at least 1, not %d" % (m + s))
     rows_of = {}
     for sym, rr in (code.row_map or {}).items():
         rows_of.setdefault(rr, []).append(sym)
@@ -568,102 +639,6 @@ def _solve(code, unknown, values):
 def decode(code, values, erased):
     """Solve the erased symbols from surviving values; None if not possible."""
     return _solve(code, _expand(code, erased, "symbol"), values)
-
-
-def grid_compose(row_factory, col_factory, k1, k2):
-    """Compose 1-D stripe codes over the rows and columns of a k1 x k2 grid.
-
-    The row code runs over each data row (its checks become extra columns);
-    the column code then runs over every column of the augmented array,
-    including the row-check columns, so corner checks satisfy both marginal
-    identities by construction.
-    """
-    row_proto = row_factory(k2)
-    row_checks = len(row_proto.check_ids)
-    width = k2 + row_checks
-    col_proto = col_factory(k1)
-    col_checks = len(col_proto.check_ids)
-
-    def cell(i, j):
-        return "s%d_%d" % (i, j)
-
-    data = [cell(i, j) for i in range(k1) for j in range(k2)]
-    checks = []
-    equations = []
-    column_map = {}
-    for i in range(k1 + col_checks):
-        for j in range(width):
-            column_map[cell(i, j)] = j
-
-    # row code instances
-    for i in range(k1):
-        mapping = {}
-        for d_idx, s in enumerate(row_proto.data_ids):
-            mapping[s] = cell(i, d_idx)
-        for c_idx, s in enumerate(row_proto.check_ids):
-            mapping[s] = cell(i, k2 + c_idx)
-            checks.append(cell(i, k2 + c_idx))
-        for cid, terms in row_proto.equations:
-            equations.append((mapping[cid],
-                              tuple((mapping[s], c) for s, c in terms)))
-    # column code instances over all width columns
-    for j in range(width):
-        mapping = {}
-        for d_idx, s in enumerate(col_proto.data_ids):
-            mapping[s] = cell(d_idx, j)
-        for c_idx, s in enumerate(col_proto.check_ids):
-            mapping[s] = cell(k1 + c_idx, j)
-            checks.append(cell(k1 + c_idx, j))
-        for cid, terms in col_proto.equations:
-            equations.append((mapping[cid],
-                              tuple((mapping[s], c) for s, c in terms)))
-    row_map = {s: int(s[1:].split("_")[0]) for s in data + checks}
-    return CodeSpec(
-        name="grid(%s,%s,%dx%d)" % (row_proto.name, col_proto.name, k1, k2),
-        field=row_proto.field,
-        data_ids=tuple(data),
-        check_ids=tuple(checks),
-        equations=tuple(equations),
-        column_map=column_map,
-        row_map=row_map,
-    )
-
-
-def find_lrc_coefficients(field=gf.GF16):
-    """Smallest coefficient pair (alphas, betas) making the two-group LRC
-    decode every information-theoretically decodable four-failure pattern.
-
-    All three determinant families must be nonzero for every index choice:
-    the 4x4 case (two failures per group), the 3x3 case (one local parity
-    down), and the 2x2 case (both local parities down).
-    """
-    nonzero = [e for e in field.elements() if e]
-
-    def valid(alphas, betas):
-        for i, j in combinations(range(3), 2):
-            if alphas[i] == alphas[j] or betas[i] == betas[j]:
-                return False
-        for i, j in combinations(range(3), 2):
-            for s, t in combinations(range(3), 2):
-                if alphas[i] ^ alphas[j] ^ betas[s] ^ betas[t] == 0:
-                    return False
-        for i, j in combinations(range(3), 2):
-            for s in range(3):
-                if betas[s] ^ alphas[i] ^ alphas[j] == 0:
-                    return False
-                if alphas[s] ^ betas[i] ^ betas[j] == 0:
-                    return False
-        for a in alphas:
-            for b in betas:
-                if a == b:
-                    return False
-        return True
-
-    for alphas in combinations(nonzero, 3):
-        for betas in combinations(nonzero, 3):
-            if valid(alphas, betas):
-                return tuple(alphas), tuple(betas)
-    raise RuntimeError("no admissible coefficients in %r" % (field,))
 
 
 def mds_update_cost(r, m, k):

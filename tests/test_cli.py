@@ -216,6 +216,15 @@ class TestReplayAndExitCodes:
         assert err["error"] == "domain"
         assert "has no column 7" in err["detail"]
 
+    def test_erasures_beyond_the_units_exit_3(self, tmp_path, capsys):
+        # four erasures of a three-column code: a domain error, not a
+        # division of no patterns by no patterns
+        assert run_cli(["code", "check", "--builder", "raid5", "--param",
+                        "n=3", "--erasures", "all-quads"], tmp_path) == 3
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"error": "domain", "detail": "f=4 is outside 1..3, "
+                       "the column count of code raid5(3)"}
+
     def test_unknown_preset_exit_3(self, tmp_path):
         code = run_cli(["analyze", "queueing", "--preset", "nope"], tmp_path)
         assert code == 3

@@ -1,7 +1,8 @@
 import json
+import random
 from dataclasses import replace
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations, islice
 from math import comb
 from pathlib import Path
 
@@ -9,11 +10,11 @@ import numpy as np
 import pytest
 
 from raidlab import builders, codes, ctmc, gf
+from raidlab.builders import find_lrc_coefficients, grid_compose
 from raidlab.codes import (
     BudgetExceeded, UnrecoverableError, classify_array_code, decode, encode,
-    encode_xor_count, erasure_tolerance, find_lrc_coefficients,
-    grid_compose, is_recoverable, loss_coefficients, recoverable_fraction,
-    repair_metrics, repair_plan, verify_plan,
+    encode_xor_count, erasure_tolerance, is_recoverable, loss_coefficients,
+    recoverable_fraction, repair_metrics, repair_plan, verify_plan,
 )
 
 
@@ -804,6 +805,226 @@ class TestVerdictMemo:
             assert len(built.states) == 357
             mtta, _, _ = ctmc.mean_time_to_absorption(built)
             assert mtta == pytest.approx(134.06629005793945, rel=1e-9)
+
+
+def _per_pattern_verdicts(code, patterns):
+    """The reference for `codes._verdicts`: a rank test of each pattern on
+    its own, BLOCK patterns per kernel call, shorter patterns padded by
+    repeating their first index (which leaves their rank as it is)."""
+    patterns = iter(patterns)
+    while block := list(islice(patterns, codes.BLOCK)):
+        sizes = list(map(len, block))
+        width = max(sizes)
+        block = [p + p[:1] * (width - len(p)) for p in block]
+        idx = np.fromiter(chain.from_iterable(block), np.intp)
+        m = code._H[:, idx.reshape(len(block), width).T]
+        ranks = gf.eliminate(code.field, m, width)
+        yield [r == size for r, size in zip(ranks.tolist(), sizes)]
+
+
+def _flat(blocks):
+    return list(chain.from_iterable(blocks))
+
+
+def _parts(code, granularity):
+    """Each unit's symbol indices, in the unit order of `codes._walk`."""
+    units = code.columns() if granularity == "column" else code.symbols
+    return [tuple(codes._bits(codes._expand(code, [u], granularity)))
+            for u in units]
+
+
+def _index_patterns(code, granularity):
+    """The symbol-index patterns of every 1 to 3 units, in walk order."""
+    parts = _parts(code, granularity)
+    return [sum(p, ()) for f in (1, 2, 3) for p in combinations(parts, f)]
+
+
+def _random_patterns(code, count, seed):
+    """`count` seeded patterns of 1 to 6 symbols, in runs of one to four
+    that share all but their last index."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        prefix = tuple(rng.sample(range(code.n),
+                                  rng.randint(0, min(5, code.n - 1))))
+        rest = [j for j in range(code.n) if j not in prefix]
+        out += [prefix + (j,)
+                for j in rng.sample(rest, rng.randint(1, min(4, len(rest))))]
+    return out[:count]
+
+
+def _sizes_above_rank(code, granularity):
+    """The unit counts f whose every pattern erases more than rank(_H)
+    symbols."""
+    parts = _parts(code, granularity)
+    fewest = list(accumulate(sorted(map(len, parts)), initial=0))
+    rank = gf.rank(code.field, code._H)
+    return [f for f in range(1, len(parts) + 1) if fewest[f] > rank]
+
+
+class TestPrefixVerdicts:
+    # CELLS of 1 leaves one prefix per kernel call; 97 splits the prefix
+    # groups of one size over calls of a few prefixes of mixed widths
+    @pytest.mark.parametrize("cells", [None, 1, 97], ids=["CELLS", "1", "97"])
+    @pytest.mark.parametrize("name", sorted(builders.BUILDERS))
+    def test_matches_per_pattern_rank_tests(self, name, cells, monkeypatch):
+        if cells is not None:
+            monkeypatch.setattr(codes, "CELLS", cells)
+        code = _small(name)
+        for patterns in (_index_patterns(code, "symbol"),
+                         _index_patterns(code, "column"),
+                         _random_patterns(code, 2000, seed=len(name))):
+            got = _flat(codes._verdicts(code, iter(patterns)))
+            assert got == _flat(_per_pattern_verdicts(code, patterns))
+            assert all(type(v) is bool for v in got)
+
+    @pytest.mark.parametrize("variant,s,want,checked,cells", [
+        ("pmds", 1, "PMDS", None, None), ("pmds", 1, "PMDS", None, 97),
+        ("sd", 2, "SD", None, None), ("sd", 2, "SD", None, 97),
+        ("pmds", 2, "PMDS", 60_000, None),
+    ])
+    def test_classification_matches_per_pattern_rank_tests(
+            self, variant, s, want, checked, cells, monkeypatch):
+        # every pattern of a check goes through both paths, or the first
+        # `checked` of them, in runs that split its prefix groups
+        if cells is not None:
+            monkeypatch.setattr(codes, "CELLS", cells)
+        real = codes._verdicts
+        seen = []
+
+        def both(code, patterns):
+            patterns = iter(patterns)
+            while len(seen) < (checked or float("inf")) and \
+                    (run := list(islice(patterns, 20_000))):
+                got = _flat(real(code, run))
+                assert got == _flat(_per_pattern_verdicts(code, run))
+                seen.extend(run)
+                yield got
+            yield from real(code, patterns)
+
+        monkeypatch.setattr(codes, "_verdicts", both)
+        code = builders.pmds_fig(variant)
+        assert classify_array_code(code, n=7, m=1, r=4, s=s) == want
+        assert seen and len(seen) >= (checked or 0)
+
+    def test_working_set_stays_within_cells(self, monkeypatch):
+        # a kernel call stacks at most CELLS uint8 cells, unless it holds a
+        # single prefix (pattern axis of length one)
+        eliminate, shapes = gf.eliminate, []
+
+        def recorded(field, m, ncols):
+            shapes.append(m.shape)
+            return eliminate(field, m, ncols)
+
+        monkeypatch.setattr(gf, "eliminate", recorded)
+        assert recoverable_fraction(builders.rdp(7), 3)[2] == (17260, 17296)
+        assert loss_coefficients(builders.xorbas_16_10_5()) == \
+            [1, 16, 120, 560, 1820, 4361, 7335] + [0] * 10
+        assert len(shapes) > 20
+        over = [s for s in shapes
+                if s[0] * s[1] * s[2] > codes.CELLS and s[2] > 1]
+        assert over == []
+
+    def test_empty_pattern_sets_are_rejected(self):
+        with pytest.raises(ValueError, match="^m [+] s must be at least 1"):
+            classify_array_code(builders.raid4k(6, 2), n=6, m=0, r=1, s=0)
+
+
+class TestRankBound:
+    @pytest.mark.parametrize("granularity", ["symbol", "column"])
+    @pytest.mark.parametrize("name", sorted(builders.BUILDERS))
+    def test_sizes_above_rank_make_no_kernel_call(self, name, granularity,
+                                                  monkeypatch):
+        code = _small(name)
+        next(codes._walk(code, granularity, 0))  # sets the rank
+        assert code._rank == gf.rank(code.field, code._H)
+        above = _sizes_above_rank(code, granularity)
+        units = len(_parts(code, granularity))
+        calls = []
+        eliminate = gf.eliminate
+        monkeypatch.setattr(gf, "eliminate",
+                            lambda *a: calls.append(a) or eliminate(*a))
+        assert above == list(range(units - len(above) + 1, units + 1))
+        for f in above:
+            (_, total, verdicts), = codes._walk(code, granularity,
+                                                float("inf"), size=f)
+            # a size may hold millions of patterns: read its first blocks
+            blocks = list(islice(verdicts, 4))
+            lengths = [len(b) for b in blocks]
+            assert lengths == [min(codes.BLOCK, total - i * codes.BLOCK)
+                               for i in range(len(blocks))]
+            assert not any(chain(*blocks))
+        assert calls == []
+        if above and above[0] > 1:  # the size below still takes the kernel
+            (_, _, verdicts), = codes._walk(code, granularity, float("inf"),
+                                            size=above[0] - 1)
+            next(verdicts)
+            assert calls
+
+    @pytest.mark.parametrize("name", sorted(builders.BUILDERS))
+    def test_fractions_and_sets_match_per_pattern_rank_tests(self, name):
+        code = _small(name)
+        for granularity in ("symbol", "column"):
+            parts = _parts(code, granularity)
+            counts = []
+            for f in range(1, len(parts) + 1):
+                if comb(len(parts), f) > 5000:
+                    continue
+                patterns = [sum(p, ()) for p in combinations(parts, f)]
+                good = sum(_flat(_per_pattern_verdicts(code, patterns)))
+                assert recoverable_fraction(code, f, granularity)[2] == \
+                    (good, len(patterns))
+                counts.append(good)
+            assert counts
+            if len(parts) > 12:
+                continue
+            want, f = [0], 1
+            while f <= len(parts):
+                sets = list(combinations(range(len(parts)), f))
+                ok = _flat(_per_pattern_verdicts(
+                    code, [sum((parts[u] for u in c), ()) for c in sets]))
+                found = [_subset_mask(c) for c, v in zip(sets, ok) if v]
+                if not found:
+                    break
+                want += found
+                f += 1
+            assert codes.recoverable_sets(code, granularity) == want
+
+    def test_xorbas_loss_coefficients_skip_sevens(self, monkeypatch):
+        real, sizes = codes._verdicts, set()
+
+        def noted(code, patterns):
+            return real(code, (sizes.add(len(p)) or p for p in patterns))
+
+        monkeypatch.setattr(codes, "_verdicts", noted)
+        code = builders.xorbas_16_10_5()
+        assert loss_coefficients(code) == \
+            [1, 16, 120, 560, 1820, 4361, 7335] + [0] * 10
+        assert code._rank == 6
+        assert sizes == {1, 2, 3, 4, 5, 6}
+
+    def test_budget_is_charged_for_skipped_sizes(self):
+        code = builders.xorbas_16_10_5()
+        spend = sum(comb(16, f) for f in range(1, 8))  # sizes 1 to 7
+        assert loss_coefficients(code, budget=spend)[7] == 0
+        with pytest.raises(BudgetExceeded, match="^%d patterns exceed the "
+                           "budget of %d$" % (spend, spend - 1)):
+            loss_coefficients(code, budget=spend - 1)
+        mds = builders.raid4k(11, 3)
+        assert recoverable_fraction(mds, 4, budget=330)[2] == (0, 330)
+        with pytest.raises(BudgetExceeded,
+                           match="^330 patterns exceed the budget of 329$"):
+            recoverable_fraction(mds, 4, budget=329)
+
+    @pytest.mark.parametrize("granularity", ["symbol", "column"])
+    def test_fraction_beyond_the_units_is_a_value_error(self, granularity):
+        code = builders.raid5(3)
+        for f in (4, 0):
+            with pytest.raises(ValueError, match="^f=%d is outside 1..3, the "
+                               "%s count of code raid5[(]3[)]$"
+                               % (f, granularity)):
+                recoverable_fraction(code, f, granularity)
+        assert recoverable_fraction(code, 3, granularity)[2] == (0, 1)
 
 
 class TestUpdateCost:
