@@ -6,7 +6,7 @@ them (primality, divisibility) and raise ValueError otherwise.  The GF(2)
 builders state only their parity groups and placement maps, through `_xor`.
 """
 
-from itertools import chain, combinations
+from itertools import combinations
 
 from . import gf
 from .codes import CodeSpec, recoverable_fraction
@@ -152,19 +152,28 @@ def grid_compose(row_factory, col_factory, k1, k2):
         for j in range(width):
             column_map[cell(i, j)] = j
 
-    def place(proto, cells):
-        """One copy of `proto` over `cells`, its data then its checks."""
-        names = dict(zip(proto.symbols, cells))
-        checks.extend(cells[proto.k:])
-        equations.extend((names[cid], tuple((names[s], c) for s, c in terms))
-                         for cid, terms in proto.equations)
-
-    for i in range(k1):  # the row code over each data row
-        cols = chain(range(row_proto.k), range(k2, width))
-        place(row_proto, [cell(i, j) for j in cols])
-    for j in range(width):  # the column code over every column
-        rows = chain(range(col_proto.k), range(k1, k1 + col_checks))
-        place(col_proto, [cell(i, j) for i in rows])
+    # row code instances
+    for i in range(k1):
+        mapping = {}
+        for d_idx, s in enumerate(row_proto.data_ids):
+            mapping[s] = cell(i, d_idx)
+        for c_idx, s in enumerate(row_proto.check_ids):
+            mapping[s] = cell(i, k2 + c_idx)
+            checks.append(cell(i, k2 + c_idx))
+        for cid, terms in row_proto.equations:
+            equations.append((mapping[cid],
+                              tuple((mapping[s], c) for s, c in terms)))
+    # column code instances over all width columns
+    for j in range(width):
+        mapping = {}
+        for d_idx, s in enumerate(col_proto.data_ids):
+            mapping[s] = cell(d_idx, j)
+        for c_idx, s in enumerate(col_proto.check_ids):
+            mapping[s] = cell(k1 + c_idx, j)
+            checks.append(cell(k1 + c_idx, j))
+        for cid, terms in col_proto.equations:
+            equations.append((mapping[cid],
+                              tuple((mapping[s], c) for s, c in terms)))
     row_map = {s: int(s[1:].split("_")[0]) for s in data + checks}
     return CodeSpec(
         name="grid(%s,%s,%dx%d)" % (row_proto.name, col_proto.name, k1, k2),
@@ -326,15 +335,30 @@ def find_lrc_coefficients(field=gf.GF16):
     """
     nonzero = [e for e in field.elements() if e]
 
-    def sums(xs):  # the coefficients and their pairwise sums
-        return {*xs, *(a ^ b for a, b in combinations(xs, 2))}
+    def valid(alphas, betas):
+        for i, j in combinations(range(3), 2):
+            if alphas[i] == alphas[j] or betas[i] == betas[j]:
+                return False
+        for i, j in combinations(range(3), 2):
+            for s, t in combinations(range(3), 2):
+                if alphas[i] ^ alphas[j] ^ betas[s] ^ betas[t] == 0:
+                    return False
+        for i, j in combinations(range(3), 2):
+            for s in range(3):
+                if betas[s] ^ alphas[i] ^ alphas[j] == 0:
+                    return False
+                if alphas[s] ^ betas[i] ^ betas[j] == 0:
+                    return False
+        for a in alphas:
+            for b in betas:
+                if a == b:
+                    return False
+        return True
 
-    # combinations are distinct, so every family is nonzero iff no alpha or
-    # sum of two alphas equals a beta or a sum of two betas
     for alphas in combinations(nonzero, 3):
         for betas in combinations(nonzero, 3):
-            if sums(alphas).isdisjoint(sums(betas)):
-                return alphas, betas
+            if valid(alphas, betas):
+                return tuple(alphas), tuple(betas)
     raise RuntimeError("no admissible coefficients in %r" % (field,))
 
 

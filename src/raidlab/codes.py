@@ -268,54 +268,68 @@ def _verdicts(code, patterns):
     on each.
 
     Consecutive patterns with the same prefix, all but the last index, share
-    one Gauss-Jordan elimination of the prefix columns, with every column of
-    `_H` carried along as an extra column.  Elimination is a sequence of
-    invertible row operations, so the prefix keeps its rank and each carried
-    column becomes its image x.  The rows left without a pivot are exactly
-    the rows that are zero on every prefix column, so the reduced prefix
-    spans the vectors that are zero on those rows; adding x raises the rank
-    iff x is nonzero on one of them.  A pattern is thus recoverable iff its
-    prefix has full column rank and the carried image of its last column is
-    nonzero on a row without a pivot.  Shorter prefixes, the empty one too,
-    are padded with an all-zero column, which gets no pivot and is zero on
-    every row.  A call stacks whole prefixes while rows x (prefix width + n)
-    x prefixes stays within CELLS, so the calls on prefixes of one width
-    have one shape.
+    one Gauss-Jordan elimination of the prefix columns, with the columns of
+    `_H` that their last indices name carried along as extra columns.
+    Elimination is a sequence of invertible row operations, so the prefix
+    keeps its rank and each carried column becomes its image x.  The rows
+    left without a pivot are exactly the rows that are zero on every prefix
+    column, so the reduced prefix spans the vectors that are zero on those
+    rows; adding x raises the rank iff x is nonzero on one of them.  A
+    pattern is thus recoverable iff its prefix has full column rank and the
+    carried image of its last column is nonzero on a row without a pivot.
+    Shorter prefixes, the empty one too, are padded with an all-zero column,
+    which gets no pivot and is zero on every row.
+
+    Each prefix carries every column of `_H`, except in a block where every
+    prefix has a single pattern: there each carries only its own last
+    column.  Column patterns over units of several symbols are such blocks,
+    since their prefix ends inside the last unit.  A call stacks whole
+    prefixes while rows x (prefix width + carried columns) x prefixes stays
+    within CELLS, so the calls on prefixes of one width have few shapes.
     """
     rows, n = code._H.shape
     h = np.zeros((rows, n + 1), dtype=np.uint8)  # column n stays zero
     h[:, :n] = code._H
-    block, width = [], 0
+    block, width, carry = [], 0, 1
     for prefix, group in groupby(patterns, itemgetter(slice(-1))):
-        w = max(width, len(prefix))
-        if block and rows * (w + n) * (len(block) + 1) > CELLS:
-            yield _prefix_verdicts(code.field, h, block, width)
-            block, w = [], len(prefix)
-        block.append((prefix, list(map(itemgetter(-1), group))))
-        width = w
+        lasts = list(map(itemgetter(-1), group))
+        need = n if len(lasts) > 1 else 1
+        w, c = max(width, len(prefix)), max(carry, need)
+        if block and rows * (w + c) * (len(block) + 1) > CELLS:
+            yield _prefix_verdicts(code.field, h, block, width, carry)
+            block, w, c = [], len(prefix), need
+        block.append((prefix, lasts))
+        width, carry = w, c
     if block:
-        yield _prefix_verdicts(code.field, h, block, width)
+        yield _prefix_verdicts(code.field, h, block, width, carry)
 
 
-def _prefix_verdicts(field, h, block, width):
+def _prefix_verdicts(field, h, block, width, carry):
     """The verdicts on the (prefix, last indices) groups of `block`, in
-    order: one stack of `width` padded prefix columns and the n columns of
-    `_H` per prefix, and one call of `gf.eliminate`."""
+    order: one stack of `width` padded prefix columns and `carry` carried
+    columns per prefix (the n columns of `_H`, or the prefix's one last
+    column), and one call of `gf.eliminate`."""
     rows, n = h.shape[0], h.shape[1] - 1
+    every = carry == n
     idx = []
-    for prefix, _ in block:
+    for prefix, lasts in block:
         idx += (*prefix, *[n] * (width - len(prefix)))
-    m = np.empty((rows, width + n, len(block)), dtype=np.uint8)
-    cols = np.array(idx, dtype=np.intp).reshape(len(block), width)
-    m[:, :width] = h[:, cols.T]
-    m[:, width:] = h[:, :n, None]
+        if not every:
+            idx += lasts
+    cols = np.array(idx, dtype=np.intp).reshape(len(block), -1)
+    m = np.empty((rows, width + carry, len(block)), dtype=np.uint8)
+    m[:, :cols.shape[1]] = h[:, cols.T]
+    if every:
+        m[:, width:] = h[:, :n, None]
     ranks = gf.eliminate(field, m, width).tolist()
     free = ~m[:, :width].any(axis=1)
     ok = ((m[:, width:] != 0) & free[:, None]).any(axis=0).T.tolist()
     out = []
     for (prefix, lasts), row, rank in zip(block, ok, ranks):
-        out += map(row.__getitem__, lasts) if rank == len(prefix) else \
-            [False] * len(lasts)
+        if rank < len(prefix):
+            out += [False] * len(lasts)
+        else:
+            out += map(row.__getitem__, lasts) if every else row
     return out
 
 
@@ -346,7 +360,6 @@ def _walk(code, granularity, budget, decoder="joint", size=None):
     fewest = list(accumulate(sorted(map(len, parts)), initial=0))
     if code._rank is None:
         code._rank = gf.rank(code.field, code._H)
-    symbols = list(chain(*parts))
     spent = 0
 
     def verdicts(f):
@@ -359,10 +372,9 @@ def _walk(code, granularity, budget, decoder="joint", size=None):
         if decoder == "joint" and fewest[f] > code._rank:
             for start in range(0, total, BLOCK):
                 yield [False] * min(BLOCK, total - start)
-        elif decoder == "joint":  # with one symbol per unit, no joins
-            yield from _verdicts(code, combinations(symbols, f)
-                                 if len(symbols) == len(parts) else
-                                 (sum(p, ()) for p in combinations(parts, f)))
+        elif decoder == "joint":
+            yield from _verdicts(code, (sum(p, ())
+                                        for p in combinations(parts, f)))
         else:  # the units' masks are disjoint: their sum is their union
             patterns = combinations(masks, f)
             while block := list(islice(patterns, BLOCK)):

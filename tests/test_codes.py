@@ -925,6 +925,26 @@ class TestPrefixVerdicts:
                 if s[0] * s[1] * s[2] > codes.CELLS and s[2] > 1]
         assert over == []
 
+    @pytest.mark.parametrize("make,width,coeffs", [
+        (lambda: builders.rdp(7), 12, [1, 8, 28] + [0] * 6),
+        (lambda: builders.xcode(7), 14, [1, 7, 21] + [0] * 5),
+    ], ids=["rdp7", "xcode7"])
+    def test_multi_symbol_columns_carry_their_own_last_column(
+            self, make, width, coeffs, monkeypatch):
+        # column patterns over units of several symbols share no prefix, so
+        # each stack is as wide as its patterns, not prefix + every column
+        # (the first walk also ranks the whole of _H, so it runs unrecorded)
+        code, eliminate, shapes = make(), gf.eliminate, []
+        assert loss_coefficients(code, "column") == coeffs
+
+        def recorded(field, m, ncols):
+            shapes.append(m.shape)
+            return eliminate(field, m, ncols)
+
+        monkeypatch.setattr(gf, "eliminate", recorded)
+        assert loss_coefficients(code, "column") == coeffs
+        assert shapes and max(s[1] for s in shapes) == width
+
     def test_empty_pattern_sets_are_rejected(self):
         with pytest.raises(ValueError, match="^m [+] s must be at least 1"):
             classify_array_code(builders.raid4k(6, 2), n=6, m=0, r=1, s=0)
