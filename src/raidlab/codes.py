@@ -8,21 +8,20 @@ erased columns.
 Each CodeSpec compiles its equations once, into the read-only uint8
 parity-check matrix `_H` and one support bitmask per row; the field tables
 live on `gf.Field`.  An erasure pattern is a bitmask over symbol indices.
-Enumerations run the batched `gf.eliminate` once per block of pattern
-prefixes: consecutive patterns that differ only in their last symbol share
-one elimination of the rest, and a size whose every pattern erases more
-symbols than rank(_H) is decided without one.  A single pattern is peeled
-on the row supports first; what is left, the peel residual, is looked up in
-the code's verdict memo and, on a miss, goes through the same kernel as a
-batch of one, once per residual and code.
+Enumerations hand the batched `gf.eliminate` (prefix, last symbols) groups,
+with no tuple per pattern, and each group shares one elimination of its
+prefix; a size whose every pattern erases more symbols than rank(_H) needs
+none.  The local-global decoder stacks its base-view rank tests.  A single
+pattern is peeled on the row supports first; what is left, the peel
+residual, is looked up in the code's verdict memo and, on a miss, goes
+through the same kernel as a batch of one, once per residual and code.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import (accumulate, chain, combinations, compress, groupby,
-                       islice, product)
-from operator import itemgetter
+from itertools import (accumulate, chain, combinations, compress, islice,
+                       product)
 
 import numpy as np
 
@@ -96,20 +95,20 @@ class CodeSpec:
         # is recoverable
         self._rank = None
         # the base view over the symbols followed by its virtual symbols: the
-        # matrix, its row supports, their union, and (bit, mask of its parts)
-        # for each virtual symbol
+        # matrix, the symbols its rows touch, and (bit, mask of its parts) for
+        # each virtual symbol
         self._base = None
         if self.base_view:
             virtuals = self.base_view["virtuals"]
             index = dict(self._index)
             index.update((vid, self.n + i) for i, vid in enumerate(virtuals))
-            h, support = _compile(self.base_view["equations"], index)
+            h, _ = _compile(self.base_view["equations"], index)
             parts = [(1 << index[vid], _expand(self, (s for s, _ in terms),
                                                "symbol"))
                      for vid, terms in virtuals.items()]
             stored = sum(1 << j
                          for j in np.flatnonzero(h.any(axis=0)).tolist())
-            self._base = h, support, stored, parts
+            self._base = h, stored, parts
 
     @property
     def symbols(self):
@@ -192,24 +191,21 @@ def _peel(support, erased):
     return erased
 
 
-def _determined(field, h, support, erased):
-    """True iff the rows of `h` restricted to the `erased` columns have full
-    column rank (which fewer rows touching them than columns cannot have)."""
-    rows = [i for i, r in enumerate(support) if r & erased]
-    cols = _bits(erased)
-    return len(rows) >= len(cols) and \
-        gf.rank(field, h[rows][:, cols]) == len(cols)
-
-
 def _solvable(field, h, support, erased):
     """True iff the `erased` symbols are determined by the rows of `h`, whose
     supports are `support`.
 
     Peels rows with a single erased member first (cheap and it is how most
-    local repairs resolve), then falls back to a joint rank test.
+    local repairs resolve), then falls back to a joint rank test, which
+    fewer rows touching the residual than it has symbols cannot pass.
     """
     erased = _peel(support, erased)
-    return not erased or _determined(field, h, support, erased)
+    if not erased:
+        return True
+    rows = [i for i, r in enumerate(support) if r & erased]
+    cols = _bits(erased)
+    return len(rows) >= len(cols) and \
+        gf.rank(field, h[rows][:, cols]) == len(cols)
 
 
 def is_recoverable(code, erasures, granularity="symbol"):
@@ -237,62 +233,53 @@ def is_recoverable(code, erasures, granularity="symbol"):
     return verdict
 
 
-def _base_view_recoverable(code, erased):
-    """Two-phase decode of the `erased` mask: peel local equations, then
-    solve the base view.
-
-    Virtual base symbols (e.g. a parity that was split into two stored local
-    parities) count as erased while any of their constituents is erased; when
-    the base system determines all its unknowns, everything else peels.
-    """
-    h, support, stored, virtuals = code._base
-    while True:
-        # phase 1: peel own equations (local repairs)
+def _local_global(code, masks):
+    """Two-phase decode of each erased mask, as a list of bools: peel the
+    code's own equations, solve the base view, in which a virtual symbol is
+    erased while any of its parts is, and peel what that leaves.  The base
+    view recovers every erased symbol it touches, so no mask needs a second
+    base solve, and the block's rank tests take one kernel call."""
+    h, stored, virtuals = code._base
+    h = np.pad(h, ((0, 0), (0, 1)))  # the zero column pads short prefixes
+    out, tests, groups = [], [], []
+    for i, erased in enumerate(masks):
         erased = _peel(code._support, erased)
-        if not erased:
-            return True
-        # phase 2: joint solve on the base view with virtual symbols; the
-        # base decode recovers its own symbols, which are dropped to re-peel
         recovered = erased & stored
-        base_erased = recovered | sum(bit for bit, parts in virtuals
-                                      if erased & parts)
-        if not recovered or \
-                not _determined(code.field, h, support, base_erased):
-            return False
-        erased ^= recovered
+        out.append(not erased)
+        if recovered:
+            cols = _bits(recovered | sum(bit for bit, parts in virtuals
+                                         if erased & parts))
+            tests.append((i, erased ^ recovered))
+            groups.append((tuple(cols[:-1]), cols[-1:]))
+    if tests:
+        ok = _prefix_verdicts(code.field, h, groups,
+                              max(len(g[0]) for g in groups), 1)
+        for (i, rest), good in zip(tests, ok):
+            out[i] = good and not _peel(code._support, rest)
+    return out
 
 
-def _verdicts(code, patterns):
-    """Recoverability of the patterns, non-empty tuples of erased symbol
-    indices, as a list of bools per kernel call: full column rank of `_H`
-    on each.
+def _verdicts(code, groups):
+    """Recoverability of the patterns of the (prefix, lasts) groups, a
+    prefix of symbol indices and one last index each, as a list of bools per
+    kernel call: full column rank of `_H` on each, in group order.
 
-    Consecutive patterns with the same prefix, all but the last index, share
-    one Gauss-Jordan elimination of the prefix columns, with the columns of
-    `_H` that their last indices name carried along as extra columns.
-    Elimination is a sequence of invertible row operations, so the prefix
-    keeps its rank and each carried column becomes its image x.  The rows
-    left without a pivot are exactly the rows that are zero on every prefix
-    column, so the reduced prefix spans the vectors that are zero on those
-    rows; adding x raises the rank iff x is nonzero on one of them.  A
-    pattern is thus recoverable iff its prefix has full column rank and the
-    carried image of its last column is nonzero on a row without a pivot.
-    Shorter prefixes, the empty one too, are padded with an all-zero column,
-    which gets no pivot and is zero on every row.
-
-    Each prefix carries every column of `_H`, except in a block where every
-    prefix has a single pattern: there each carries only its own last
-    column.  Column patterns over units of several symbols are such blocks,
-    since their prefix ends inside the last unit.  A call stacks whole
-    prefixes while rows x (prefix width + carried columns) x prefixes stays
-    within CELLS, so the calls on prefixes of one width have few shapes.
+    A group's prefix is eliminated once, Gauss-Jordan, with the columns of
+    `_H` that its lasts name carried along.  Row operations keep the rank of
+    the prefix and map each carried column to an image x; the rows left
+    without a pivot are exactly the rows zero on every prefix column, and
+    adding x raises the rank iff x is nonzero on one of them.  So a pattern
+    is recoverable iff its prefix has full column rank and the image of its
+    last column is nonzero on a row without a pivot.  Shorter prefixes are
+    padded with an all-zero column, which gets no pivot.  Each prefix
+    carries every column of `_H`, except in a block where every group has
+    one pattern: there each carries its own last column.  A call stacks
+    prefixes while rows x (width + carried columns) x prefixes <= CELLS.
     """
     rows, n = code._H.shape
-    h = np.zeros((rows, n + 1), dtype=np.uint8)  # column n stays zero
-    h[:, :n] = code._H
+    h = np.pad(code._H, ((0, 0), (0, 1)))  # column n stays zero
     block, width, carry = [], 0, 1
-    for prefix, group in groupby(patterns, itemgetter(slice(-1))):
-        lasts = list(map(itemgetter(-1), group))
+    for prefix, lasts in groups:
         need = n if len(lasts) > 1 else 1
         w, c = max(width, len(prefix)), max(carry, need)
         if block and rows * (w + c) * (len(block) + 1) > CELLS:
@@ -304,11 +291,19 @@ def _verdicts(code, patterns):
         yield _prefix_verdicts(code.field, h, block, width, carry)
 
 
+def _groups(head, flat, f):
+    """The patterns `head` + c, c the f-combinations of the list `flat`, as
+    (prefix, lasts) groups, one per (f - 1)-combination, in their order."""
+    if f == 1:
+        return [(head, flat)] if flat else []
+    tail = {x: flat[i + 1:] for i, x in enumerate(flat)}
+    return ((head + c, tail[c[-1]]) for c in combinations(flat[:-1], f - 1))
+
+
 def _prefix_verdicts(field, h, block, width, carry):
-    """The verdicts on the (prefix, last indices) groups of `block`, in
-    order: one stack of `width` padded prefix columns and `carry` carried
-    columns per prefix (the n columns of `_H`, or the prefix's one last
-    column), and one call of `gf.eliminate`."""
+    """The verdicts on the groups of `block`, in order, by one call of
+    `gf.eliminate` on `width` padded prefix columns and `carry` carried ones
+    a prefix (every column of `h` but its zero last one, or its own last)."""
     rows, n = h.shape[0], h.shape[1] - 1
     every = carry == n
     idx = []
@@ -356,6 +351,7 @@ def _walk(code, granularity, budget, decoder="joint", size=None):
                          % (size, len(units), granularity, code.name))
     masks = [_expand(code, [u], granularity) for u in units]
     parts = [tuple(_bits(m)) for m in masks]
+    flat = [p[0] for p in parts] if all(len(p) == 1 for p in parts) else None
     # fewest[f]: the fewest symbols that f units erase
     fewest = list(accumulate(sorted(map(len, parts)), initial=0))
     if code._rank is None:
@@ -372,13 +368,16 @@ def _walk(code, granularity, budget, decoder="joint", size=None):
         if decoder == "joint" and fewest[f] > code._rank:
             for start in range(0, total, BLOCK):
                 yield [False] * min(BLOCK, total - start)
-        elif decoder == "joint":
-            yield from _verdicts(code, (sum(p, ())
-                                        for p in combinations(parts, f)))
+        elif decoder == "joint" and flat:
+            yield from _verdicts(code, _groups((), flat, f))
+        elif decoder == "joint":  # units of several symbols share no prefix
+            yield from _verdicts(code, ((s[:-1], s[-1:]) for s in (
+                tuple([j for u in p for j in u])
+                for p in combinations(parts, f))))
         else:  # the units' masks are disjoint: their sum is their union
             patterns = combinations(masks, f)
             while block := list(islice(patterns, BLOCK)):
-                yield [_base_view_recoverable(code, sum(p)) for p in block]
+                yield _local_global(code, list(map(sum, block)))
 
     for f in range(1, len(units) + 1) if size is None else (size,):
         yield f, math.comb(len(units), f), verdicts(f)
@@ -466,16 +465,17 @@ def classify_array_code(code, n, m, r, s, budget=DEFAULT_BUDGET):
     names = list(map(str, code.symbols))
     by_str = sorted(range(code.n), key=names.__getitem__)
 
-    def patterns(bases):
+    def groups(bases):  # with s = 0, each base is its own group
         for base in bases:
+            b = tuple(_bits(base))
             rest = [j for j in by_str if not base >> j & 1]
-            yield from map(tuple(_bits(base)).__add__, combinations(rest, s))
+            yield from _groups(b, rest, s) if s else [(b[:-1], b[-1:])]
 
     holds = {}
     for name, (tests, bases) in checks.items():
         if tests > budget:
             raise BudgetExceeded("%s check needs %d tests" % (name, tests))
-        holds[name] = all(map(all, _verdicts(code, patterns(bases))))
+        holds[name] = all(map(all, _verdicts(code, groups(bases))))
     if holds["PMDS"] and not holds["SD"]:
         raise AssertionError("PMDS without SD; enumeration is inconsistent")
     if holds["PMDS"]:

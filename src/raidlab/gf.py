@@ -4,7 +4,7 @@
 # primitive polynomial per field size.  GF(2) is special-cased (bit algebra).
 # Elimination is table-driven and vectorised across a stack of matrices:
 # each Field builds its full product table and inverse table once, on first
-# use, as uint8 arrays.
+# use, as uint8 arrays; over GF(2) the products are ANDs.
 
 from functools import cached_property
 
@@ -114,8 +114,11 @@ def eliminate(field, m, ncols):
     scale = np.zeros((2, field.order), dtype=np.uint8)
     scale[1] = inv
 
-    def times(a, b):  # elementwise a * b through the flat product table
-        return mul.take(np.left_shift(a, field.w, dtype=np.intp) | b)
+    if field.w == 1:  # GF(2): a product of bits is their AND
+        times = np.bitwise_and
+    else:
+        def times(a, b):  # elementwise a * b through the flat product table
+            return mul.take(np.left_shift(a, field.w, dtype=np.intp) | b)
 
     nrows, _, b = m.shape
     if not nrows:

@@ -1,8 +1,10 @@
+import gc
 import json
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
-from itertools import accumulate, chain, combinations, islice
+from itertools import accumulate, chain, combinations, groupby, islice
 from math import comb
 from pathlib import Path
 
@@ -585,13 +587,11 @@ class TestDerivedCache:
 
     def test_cached_base_rows_match_base_view(self):
         code = builders.pyramid_8_2_2()
-        h, support, stored, virtuals = code._base
+        h, stored, virtuals = code._base
         view = code.base_view
         ids = code.symbols + tuple(view["virtuals"])
         assert h.tolist() == [[dict(eq).get(s, 0) for s in ids]
                               for eq in view["equations"]]
-        assert support == [sum(1 << ids.index(s) for s, _ in eq)
-                           for eq in view["equations"]]
         assert stored == sum(1 << ids.index(s) for s in
                              {s for eq in view["equations"] for s, _ in eq})
         assert virtuals == [(1 << ids.index(vid),
@@ -826,6 +826,18 @@ def _flat(blocks):
     return list(chain.from_iterable(blocks))
 
 
+def _grouped(patterns):
+    """Consecutive patterns with one prefix, all but the last index, as the
+    (prefix, lasts) groups that `codes._verdicts` takes."""
+    return [(prefix, [p[-1] for p in run])
+            for prefix, run in groupby(patterns, lambda p: p[:-1])]
+
+
+def _patterns_of(groups):
+    """The patterns of (prefix, lasts) groups: each prefix with each last."""
+    return [(*prefix, last) for prefix, lasts in groups for last in lasts]
+
+
 def _parts(code, granularity):
     """Each unit's symbol indices, in the unit order of `codes._walk`."""
     units = code.columns() if granularity == "column" else code.symbols
@@ -839,18 +851,19 @@ def _index_patterns(code, granularity):
     return [sum(p, ()) for f in (1, 2, 3) for p in combinations(parts, f)]
 
 
-def _random_patterns(code, count, seed):
-    """`count` seeded patterns of 1 to 6 symbols, in runs of one to four
-    that share all but their last index."""
+def _random_groups(code, count, seed):
+    """Seeded (prefix, lasts) groups of `count` patterns of 1 to 6 symbols,
+    one to four a group."""
     rng = random.Random(seed)
-    out = []
-    while len(out) < count:
+    out, total = [], 0
+    while total < count:
         prefix = tuple(rng.sample(range(code.n),
                                   rng.randint(0, min(5, code.n - 1))))
         rest = [j for j in range(code.n) if j not in prefix]
-        out += [prefix + (j,)
-                for j in rng.sample(rest, rng.randint(1, min(4, len(rest))))]
-    return out[:count]
+        lasts = rng.sample(rest, rng.randint(1, min(4, len(rest))))
+        out.append((prefix, lasts[:count - total]))
+        total += len(out[-1][1])
+    return out
 
 
 def _sizes_above_rank(code, granularity):
@@ -871,11 +884,12 @@ class TestPrefixVerdicts:
         if cells is not None:
             monkeypatch.setattr(codes, "CELLS", cells)
         code = _small(name)
-        for patterns in (_index_patterns(code, "symbol"),
-                         _index_patterns(code, "column"),
-                         _random_patterns(code, 2000, seed=len(name))):
-            got = _flat(codes._verdicts(code, iter(patterns)))
-            assert got == _flat(_per_pattern_verdicts(code, patterns))
+        for groups in (_grouped(_index_patterns(code, "symbol")),
+                       _grouped(_index_patterns(code, "column")),
+                       _random_groups(code, 2000, seed=len(name))):
+            got = _flat(codes._verdicts(code, iter(groups)))
+            assert got == _flat(_per_pattern_verdicts(
+                code, _patterns_of(groups)))
             assert all(type(v) is bool for v in got)
 
     @pytest.mark.parametrize("variant,s,want,checked,cells", [
@@ -886,21 +900,22 @@ class TestPrefixVerdicts:
     def test_classification_matches_per_pattern_rank_tests(
             self, variant, s, want, checked, cells, monkeypatch):
         # every pattern of a check goes through both paths, or the first
-        # `checked` of them, in runs that split its prefix groups
+        # `checked` of them, in runs of groups
         if cells is not None:
             monkeypatch.setattr(codes, "CELLS", cells)
         real = codes._verdicts
         seen = []
 
-        def both(code, patterns):
-            patterns = iter(patterns)
+        def both(code, groups):
+            groups = iter(groups)
             while len(seen) < (checked or float("inf")) and \
-                    (run := list(islice(patterns, 20_000))):
+                    (run := list(islice(groups, 1_000))):
                 got = _flat(real(code, run))
-                assert got == _flat(_per_pattern_verdicts(code, run))
-                seen.extend(run)
+                patterns = _patterns_of(run)
+                assert got == _flat(_per_pattern_verdicts(code, patterns))
+                seen.extend(patterns)
                 yield got
-            yield from real(code, patterns)
+            yield from real(code, groups)
 
         monkeypatch.setattr(codes, "_verdicts", both)
         code = builders.pmds_fig(variant)
@@ -945,9 +960,30 @@ class TestPrefixVerdicts:
         assert loss_coefficients(code, "column") == coeffs
         assert shapes and max(s[1] for s in shapes) == width
 
+    def test_groups_expand_to_combinations(self):
+        # in combinations order, with no group of no pattern, for every f
+        # up to past the items (an empty `flat` too) and any head
+        for head in ((), (7,), (9, 3)):
+            for flat in ([], [4], [5, 0, 2], [1, 6, 8, 2, 11]):
+                for f in range(1, len(flat) + 2):
+                    groups = list(codes._groups(head, flat, f))
+                    assert all(lasts for _, lasts in groups)
+                    assert _patterns_of(groups) == \
+                        [head + c for c in combinations(flat, f)]
+
     def test_empty_pattern_sets_are_rejected(self):
         with pytest.raises(ValueError, match="^m [+] s must be at least 1"):
             classify_array_code(builders.raid4k(6, 2), n=6, m=0, r=1, s=0)
+
+    @pytest.mark.parametrize("m,s,want", [
+        (7, 1, "PMDS"), (7, 0, "neither"), (1, 0, "PMDS"), (2, 0, "neither"),
+        (6, 1, "neither"), (6, 2, "neither"),
+    ])
+    def test_edge_classifications(self, m, s, want):
+        # s = 0 makes each base its own pattern; m = n leaves no symbol to
+        # add, so the s extras have no pattern at all
+        assert classify_array_code(builders.pmds_fig("pmds"), 7, m, 4, s) \
+            == want
 
 
 class TestRankBound:
@@ -1013,8 +1049,8 @@ class TestRankBound:
     def test_xorbas_loss_coefficients_skip_sevens(self, monkeypatch):
         real, sizes = codes._verdicts, set()
 
-        def noted(code, patterns):
-            return real(code, (sizes.add(len(p)) or p for p in patterns))
+        def noted(code, groups):
+            return real(code, (sizes.add(len(g[0]) + 1) or g for g in groups))
 
         monkeypatch.setattr(codes, "_verdicts", noted)
         code = builders.xorbas_16_10_5()
@@ -1045,6 +1081,120 @@ class TestRankBound:
                                % (f, granularity)):
                 recoverable_fraction(code, f, granularity)
         assert recoverable_fraction(code, 3, granularity)[2] == (0, 1)
+
+
+def _base_view_recoverable(code, erased):
+    """The per-pattern two-phase decoder that `codes._local_global` batches,
+    as (verdict, whether a base-view rank test ran, peel passes)."""
+    h, stored, virtuals = code._base
+    support = [sum(1 << j for j in np.flatnonzero(row).tolist()) for row in h]
+    passes = 0
+    while True:
+        # phase 1: peel own equations (local repairs)
+        erased = codes._peel(code._support, erased)
+        passes += 1
+        if not erased:
+            return True, passes > 1, passes
+        # phase 2: joint solve on the base view with virtual symbols; the
+        # base decode recovers its own symbols, which are dropped to re-peel
+        recovered = erased & stored
+        base_erased = recovered | sum(bit for bit, parts in virtuals
+                                      if erased & parts)
+        rows = [i for i, r in enumerate(support) if r & base_erased]
+        cols = codes._bits(base_erased)
+        if not recovered:
+            return False, passes > 1, passes
+        if len(rows) < len(cols) or \
+                gf.rank(code.field, h[rows][:, cols]) < len(cols):
+            return False, True, passes
+        erased ^= recovered
+
+
+def _pyramid_with_lone_symbol():
+    """pyramid_8_2_2 plus a data symbol in no equation: a pattern with it
+    passes the base solve and fails the re-peel."""
+    code = builders.pyramid_8_2_2()
+    return replace(code, name="pyramid+z", data_ids=code.data_ids + ("z",),
+                   column_map=None, row_map=None, group_map=None)
+
+
+class TestLocalGlobalDecoder:
+    @pytest.mark.parametrize("block", [None, 1], ids=["BLOCK", "1"])
+    @pytest.mark.parametrize("granularity", ["symbol", "column"])
+    @pytest.mark.parametrize("make", [
+        builders.pyramid_8_2_2, builders.pyramid_12_2_2,
+        _pyramid_with_lone_symbol,
+    ], ids=["pyramid_8_2_2", "pyramid_12_2_2", "lone_symbol"])
+    def test_matches_per_pattern_decoder(self, make, granularity, block,
+                                         monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(codes, "BLOCK", block)
+        code = make()
+        next(codes._walk(code, granularity, 0))  # sets the rank
+        stacks = []
+        eliminate = gf.eliminate
+        monkeypatch.setattr(gf, "eliminate", lambda field, m, ncols: (
+            stacks.append(m.shape[2]) or eliminate(field, m, ncols)))
+        units = code.columns() if granularity == "column" else code.symbols
+        masks = [codes._expand(code, [u], granularity) for u in units]
+        outcomes = set()
+        for f in range(1, 6):
+            want = [_base_view_recoverable(code, sum(p))
+                    for p in combinations(masks, f)]
+            del stacks[:]
+            (_, _, verdicts), = codes._walk(code, granularity, float("inf"),
+                                            "local-global", f)
+            got = _flat(verdicts)
+            assert got == [v for v, _, _ in want]
+            assert all(type(v) is bool for v in got)
+            # one kernel call per block with a rank test, stacking them all
+            tests = [sum(t for _, t, _ in want[i:i + codes.BLOCK])
+                     for i in range(0, len(want), codes.BLOCK)]
+            assert stacks == [t for t in tests if t]
+            outcomes |= {(v, passes) for v, _, passes in want}
+        # the first peel passes and fails; after a base solve the re-peel
+        # passes (and, with the lone symbol, fails); the base view recovers
+        # every erased symbol it touches, so no pattern is peeled thrice
+        want = {(True, 1), (False, 1), (True, 2)}
+        if make is _pyramid_with_lone_symbol:
+            want.add((False, 2))
+        assert outcomes == want
+
+    def test_kernel_calls_per_block(self, monkeypatch):
+        # pyramid_8_2_2 at f = 4: 495 patterns in two blocks, one call each
+        code, calls = builders.pyramid_8_2_2(), []
+        recoverable_fraction(code, 4, decoder="local-global")
+        eliminate = gf.eliminate
+        monkeypatch.setattr(gf, "eliminate",
+                            lambda *a: calls.append(a) or eliminate(*a))
+        assert recoverable_fraction(code, 4, decoder="local-global")[2] == \
+            (341, 495)
+        assert len(calls) == 2
+
+
+class TestEnumerationMemory:
+    def test_warm_enumerations_hold_no_freed_tuples(self):
+        # a freed tuple goes to CPython's free list for its size, which only
+        # a full collection empties; a walker that builds a tuple per prefix
+        # from an iterator of unknown length (10 slots, then shrunk) leaves
+        # those lists full of memory allocated during the pass
+        xorbas, pmds = builders.xorbas_16_10_5(), builders.pmds_fig("pmds")
+
+        def enumerate_both():
+            assert loss_coefficients(xorbas) == \
+                [1, 16, 120, 560, 1820, 4361, 7335] + [0] * 10
+            assert classify_array_code(pmds, 7, 1, 4, 1) == "PMDS"
+
+        enumerate_both()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            enumerate_both()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert held < 32 * 1024
 
 
 class TestUpdateCost:

@@ -202,6 +202,54 @@ class TestBatchedElimination:
             assert gf.eliminate(field, stack.copy(), 4).tolist() == single
 
 
+def _eliminate_by_table(field, m, ncols):
+    """`gf.eliminate` with every product read from the field's product
+    table, GF(2) included: the reference for the AND path."""
+    mul, inv = field.tables
+    mul = mul.ravel()
+    scale = np.zeros((2, field.order), dtype=np.uint8)
+    scale[1] = inv
+
+    def times(a, b):
+        return mul.take(np.left_shift(a, field.w, dtype=np.intp) | b)
+
+    nrows, _, b = m.shape
+    at = np.arange(b)
+    free = np.ones((nrows, b), dtype=bool)
+    for c in range(ncols):
+        col = m[:, c]
+        cand = (col != 0) & free
+        piv = cand.argmax(axis=0)
+        has = cand[piv, at]
+        row = m[piv, c:, at].T
+        row = times(scale[has.view(np.uint8), row[0]], row)
+        f = col.copy()
+        f[piv, at] ^= has
+        m[:, c:] ^= times(f[:, None], row)
+        free[piv, at] ^= has
+    return nrows - free.sum(axis=0)
+
+
+class TestGF2Elimination:
+    @pytest.mark.parametrize("batch", [1, 2, 257])
+    def test_and_leaves_the_table_stack(self, batch):
+        # the whole stack, carried columns too, byte for byte, not only ranks
+        rng = np.random.default_rng(batch)
+        for rows, ncols, carried in [(1, 1, 0), (4, 3, 5), (6, 6, 2),
+                                     (9, 5, 12), (3, 7, 1)]:
+            stack = rng.integers(0, 2, (rows, ncols + carried, batch),
+                                 dtype=np.uint8)
+            stack[:, 1 % ncols] = stack[:, 0]  # a dependent column
+            stack[:, :, ::3] &= rng.integers(0, 2, (rows, 1, 1),
+                                             dtype=np.uint8)  # zero rows
+            want = stack.copy()
+            ranks = gf.eliminate(gf.GF2, stack, ncols)
+            want_ranks = _eliminate_by_table(gf.GF2, want, ncols)
+            assert ranks.tolist() == want_ranks.tolist()
+            assert stack.dtype == want.dtype == np.uint8
+            assert stack.tobytes() == want.tobytes()
+
+
 class TestEliminationOracle:
     @given(field_matrices(st.integers(1, 4), lambda r: st.integers(1, 5)))
     @settings(max_examples=300, deadline=None)

@@ -330,10 +330,11 @@ class TestGenericMttdl:
         asked = []
         real = codes._verdicts
 
-        def counting(code, patterns):
-            patterns = list(patterns)
-            asked.extend(map(frozenset, patterns))
-            return real(code, patterns)
+        def counting(code, groups):
+            groups = list(groups)
+            asked.extend(frozenset((*prefix, last))
+                         for prefix, lasts in groups for last in lasts)
+            return real(code, groups)
 
         monkeypatch.setattr(codes, "_verdicts", counting)
         code = builders.was_lrc_6_2_2()
