@@ -9,10 +9,9 @@ Each CodeSpec compiles its equations once, into the read-only uint8
 parity-check matrix `_H` and one support bitmask per row; the field tables
 live on `gf.Field`.  An erasure pattern is a bitmask over symbol indices.
 Enumerations hand the batched `gf.eliminate` (prefix, last symbols) groups,
-with no tuple per pattern, and each group shares one elimination of its
-prefix; a size whose every pattern erases more symbols than rank(_H) needs
-none.  The local-global decoder stacks its base-view rank tests.  A single
-pattern is peeled on the row supports first; what is left, the peel
+no tuple per pattern, and a group shares one elimination of its prefix; a
+size whose patterns all erase more symbols than rank(_H) needs none.  A
+single pattern is peeled on the row supports first; what is left, the peel
 residual, is looked up in the code's verdict memo and, on a miss, goes
 through the same kernel as a batch of one, once per residual and code.
 """
@@ -234,13 +233,13 @@ def is_recoverable(code, erasures, granularity="symbol"):
 
 
 def _local_global(code, masks):
-    """Two-phase decode of each erased mask, as a list of bools: peel the
-    code's own equations, solve the base view, in which a virtual symbol is
-    erased while any of its parts is, and peel what that leaves.  The base
-    view recovers every erased symbol it touches, so no mask needs a second
-    base solve, and the block's rank tests take one kernel call."""
-    h, stored, virtuals = code._base
-    h = np.pad(h, ((0, 0), (0, 1)))  # the zero column pads short prefixes
+    """Two-phase decode of each erased mask, as a list of bools: peel, solve
+    the base view (a virtual symbol is erased while any of its parts is) and
+    peel what is left.  The base view recovers every erased symbol it
+    touches, so one kernel call holds the masks' only rank tests."""
+    base, stored, virtuals = code._base
+    h = np.zeros((len(base), base.shape[1] + 1), dtype=np.uint8)
+    h[:, :-1] = base  # the zero column pads short prefixes
     out, tests, groups = [], [], []
     for i, erased in enumerate(masks):
         erased = _peel(code._support, erased)
@@ -277,7 +276,8 @@ def _verdicts(code, groups):
     prefixes while rows x (width + carried columns) x prefixes <= CELLS.
     """
     rows, n = code._H.shape
-    h = np.pad(code._H, ((0, 0), (0, 1)))  # column n stays zero
+    h = np.zeros((rows, n + 1), dtype=np.uint8)  # column n stays zero
+    h[:, :n] = code._H
     block, width, carry = [], 0, 1
     for prefix, lasts in groups:
         need = n if len(lasts) > 1 else 1

@@ -1160,17 +1160,6 @@ class TestLocalGlobalDecoder:
             want.add((False, 2))
         assert outcomes == want
 
-    def test_kernel_calls_per_block(self, monkeypatch):
-        # pyramid_8_2_2 at f = 4: 495 patterns in two blocks, one call each
-        code, calls = builders.pyramid_8_2_2(), []
-        recoverable_fraction(code, 4, decoder="local-global")
-        eliminate = gf.eliminate
-        monkeypatch.setattr(gf, "eliminate",
-                            lambda *a: calls.append(a) or eliminate(*a))
-        assert recoverable_fraction(code, 4, decoder="local-global")[2] == \
-            (341, 495)
-        assert len(calls) == 2
-
 
 class TestEnumerationMemory:
     def test_warm_enumerations_hold_no_freed_tuples(self):
