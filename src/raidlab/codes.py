@@ -8,12 +8,13 @@ erased columns.
 Each CodeSpec compiles its equations once, into the read-only uint8
 parity-check matrix `_H` and one support bitmask per row; the field tables
 live on `gf.Field`.  An erasure pattern is a bitmask over symbol indices.
-Enumerations hand the batched `gf.eliminate` (prefix, last symbols) groups,
-no tuple per pattern, and a group shares one elimination of its prefix; a
-size whose patterns all erase more symbols than rank(_H) needs none.  A
-single pattern is peeled on the row supports first; what is left, the peel
-residual, is looked up in the code's verdict memo and, on a miss, goes
-through the same kernel as a batch of one, once per residual and code.
+Enumerations walk a tree of reduced matrices, `_tree`: a node holds `_H`
+reduced on a prefix of units, and a child takes a `gf.pivot` step per
+symbol of its unit from its parent's state, so each prefix is reduced once;
+a size whose patterns all erase more symbols than rank(_H) needs no kernel
+call.  A single pattern is peeled on the row supports first; what is left,
+the peel residual, is looked up in the code's verdict memo and, on a miss,
+goes through `gf.eliminate` as a batch of one, once per residual and code.
 """
 
 import math
@@ -28,11 +29,12 @@ from . import gf
 
 DEFAULT_BUDGET = 5_000_000  # rank tests per enumeration call, overridable
 # patterns per block where patterns are decided one by one (the local-global
-# decoder, sizes above the rank) and read sets per exact repair-plan call
+# decoder) or need no decision (sizes above the rank, dead prefixes), and
+# read sets per exact repair-plan call
 BLOCK = 256
-# stack cells (rows x columns x prefixes) per `_verdicts` kernel call, which
-# bound an enumeration's working set (`gf.eliminate` makes intp temporaries,
-# 8 bytes a cell); a call holds at least one prefix
+# stack cells (rows x columns x matrices) per kernel call of an enumeration,
+# a pivot step or an elimination, which bound its working set (a step makes
+# temporaries of up to 2 bytes a cell); a call holds at least one matrix
 CELLS = 1 << 14
 # peel residuals whose verdict a code keeps; a full memo is emptied at once
 MEMO_LIMIT = 1 << 16
@@ -238,94 +240,123 @@ def _local_global(code, masks):
     peel what is left.  The base view recovers every erased symbol it
     touches, so one kernel call holds the masks' only rank tests."""
     base, stored, virtuals = code._base
-    h = np.zeros((len(base), base.shape[1] + 1), dtype=np.uint8)
-    h[:, :-1] = base  # the zero column pads short prefixes
-    out, tests, groups = [], [], []
+    out, tests, colsets = [], [], []
     for i, erased in enumerate(masks):
         erased = _peel(code._support, erased)
         recovered = erased & stored
         out.append(not erased)
         if recovered:
-            cols = _bits(recovered | sum(bit for bit, parts in virtuals
-                                         if erased & parts))
             tests.append((i, erased ^ recovered))
-            groups.append((tuple(cols[:-1]), cols[-1:]))
+            colsets.append(_bits(recovered | sum(
+                bit for bit, parts in virtuals if erased & parts)))
     if tests:
-        ok = _prefix_verdicts(code.field, h, groups,
-                              max(len(g[0]) for g in groups), 1)
-        for (i, rest), good in zip(tests, ok):
-            out[i] = good and not _peel(code._support, rest)
+        # a short column set repeats its first column, which adds no rank
+        width = max(map(len, colsets))
+        idx = np.array([c + c[:1] * (width - len(c)) for c in colsets])
+        ranks = gf.eliminate(code.field, base[:, idx.T], width).tolist()
+        for (i, rest), rank, c in zip(tests, ranks, colsets):
+            out[i] = rank == len(c) and not _peel(code._support, rest)
     return out
 
 
-def _verdicts(code, groups):
-    """Recoverability of the patterns of the (prefix, lasts) groups, a
-    prefix of symbol indices and one last index each, as a list of bools per
-    kernel call: full column rank of `_H` on each, in group order.
+def _tree(code, levels, order=None, s=0):
+    """Verdicts, as lists of bools, on the patterns that `levels` and `s`
+    extras spell, in their order, read off a tree of reduced matrices.
 
-    A group's prefix is eliminated once, Gauss-Jordan, with the columns of
-    `_H` that its lasts name carried along.  Row operations keep the rank of
-    the prefix and map each carried column to an image x; the rows left
-    without a pivot are exactly the rows zero on every prefix column, and
-    adding x raises the rank iff x is nonzero on one of them.  So a pattern
-    is recoverable iff its prefix has full column rank and the image of its
-    last column is nonzero on a row without a pivot.  Shorter prefixes are
-    padded with an all-zero column, which gets no pivot.  Each prefix
-    carries every column of `_H`, except in a block where every group has
-    one pattern: there each carries its own last column.  A call stacks
-    prefixes while rows x (width + carried columns) x prefixes <= CELLS.
-    """
+    Level d picks a unit, a row of its table, past the previous level's
+    pick unless the level is fresh; each extra then picks a symbol no level
+    picked, past the previous extra in `order`.  A node holds `_H` reduced
+    on its units, and only the rows without a pivot decide its descendants.
+    A child takes a `gf.pivot` step per symbol of its unit from its parent's
+    state; one symbol raises the rank iff its column is nonzero on such a
+    row, which the parent shows, so a last unit of one symbol takes no step.
+    A child short of a pivot is not extended: its patterns are all False.
+    Levels are built in chunks of CELLS cells, depth first, in order."""
     rows, n = code._H.shape
-    h = np.zeros((rows, n + 1), dtype=np.uint8)  # column n stays zero
-    h[:, :n] = code._H
-    block, width, carry = [], 0, 1
-    for prefix, lasts in groups:
-        need = n if len(lasts) > 1 else 1
-        w, c = max(width, len(prefix)), max(carry, need)
-        if block and rows * (w + c) * (len(block) + 1) > CELLS:
-            yield _prefix_verdicts(code.field, h, block, width, carry)
-            block, w, c = [], len(prefix), need
-        block.append((prefix, lasts))
-        width, carry = w, c
-    if block:
-        yield _prefix_verdicts(code.field, h, block, width, carry)
+    spec = levels + [(None, not i) for i in range(s)]
+    extras = n - sum(int((t[:1] < n).sum()) for t, _ in levels)
+    # below[d][p]: the patterns below the level-d picks p and later
+    sizes = [extras if t is None else len(t) for t, _ in spec]
+    below, ways = [], [1] * sizes[-1]
+    for d in range(len(spec) - 1, -1, -1):  # Python ints: int64 or raise
+        sums = list(accumulate(reversed(ways), initial=0))[::-1]
+        below.insert(0, np.array(sums, dtype=np.int64))
+        ways = [sums[0]] * sizes[d - 1] if spec[d][1] else sums[1:]
+    done = 0  # the verdicts yielded
+
+    def grow(m, cur, aux, d, start):
+        # the children of the level-d nodes of a chunk, whose first
+        # patterns are the start-th; m holds the free rows of each node's
+        # state, aux each node's picked symbols, or the extras it picks from
+        nonlocal done
+        table, fresh = spec[d]
+        if table is None and d == len(levels):
+            aux = np.broadcast_to(order, aux[:, order].shape)[
+                ~aux[:, order]].reshape(len(aux), -1)
+        after = below[d]
+        first = np.zeros_like(cur) if fresh else cur + 1
+        valid = (after[:-1] > after[1:]) & (
+            np.arange(len(after) - 1) >= first[:, None])
+        last = d + 1 == len(spec)
+        single = table is None or table.shape[1] == 1
+        if single:  # a unit's image: nonzero on a free row
+            img = (m != 0).any(axis=1)
+            ok = valid & (img[:, table[:, 0]] if table is not None else
+                          img[np.arange(len(m))[:, None], aux])
+        par, q = (ok if single and not last else valid).nonzero()
+        cols = aux[par, q][:, None] if table is None else table[q]
+        at = start[par] + after[first[par]] - after[q]
+        verdicts = ok[par, q] if single else np.zeros(len(par), dtype=bool)
+        cap = max(1, CELLS // max(1, m[0].size))
+        for lo in range(0, 0 if single and last else len(par), cap):
+            take = np.arange(lo, min(lo + cap, len(par)))
+            mc = m[par[take]]
+            fc = np.ones(mc.shape[:2], dtype=bool)  # the free rows
+            gained = sum(gf.pivot(code.field, mc.transpose(1, 2, 0),
+                                  cols[take, k], fc.T)
+                         for k in range(cols.shape[1]))
+            if not single:
+                good = verdicts[take] = gained == (cols[take] < n).sum(axis=1)
+                take, mc, fc = take[good], mc[good], fc[good]
+            if len(take) and not last:
+                # rows with a pivot no longer change a verdict: zero them,
+                # and drop them where every node has as many
+                mc[~fc] = 0
+                if (fc.sum(axis=1) == fc[0].sum()).all():
+                    mc = mc[fc].reshape(len(take), -1, mc.shape[2])
+                sub = None if aux is None else aux[par[take]]
+                if table is not None and sub is not None:
+                    sub[np.arange(len(take))[:, None], cols[take]] = True
+                yield from grow(mc, q[take], sub, d + 1, at[take])
+        # the False verdicts of dead prefixes fill the gaps, a gap of more
+        # than BLOCK in blocks of its own
+        cuts = ((at[1:] - at[:-1]) > BLOCK + 1).nonzero()[0] + 1
+        for a, b in zip([0, *cuts], [*cuts, len(at)]) \
+                if last and len(at) else ():
+            yield from _falses(int(at[a]) - done)
+            out = np.zeros(at[b - 1] + 1 - at[a], dtype=bool)
+            out[at[a:b] - at[a]] = verdicts[a:b]
+            done = int(at[b - 1]) + 1
+            yield out.tolist()
+
+    h = np.zeros((1, rows, n + 1), dtype=np.uint8)  # column n stays 0
+    h[0, :, :n] = code._H
+    yield from grow(h, np.array([-1]), np.zeros((1, n + 1), dtype=bool)
+                    if s else None, 0, np.zeros(1, dtype=np.int64))
+    yield from _falses(int(below[0][0]) - done)
 
 
-def _groups(head, flat, f):
-    """The patterns `head` + c, c the f-combinations of the list `flat`, as
-    (prefix, lasts) groups, one per (f - 1)-combination, in their order."""
-    if f == 1:
-        return [(head, flat)] if flat else []
-    tail = {x: flat[i + 1:] for i, x in enumerate(flat)}
-    return ((head + c, tail[c[-1]]) for c in combinations(flat[:-1], f - 1))
+def _table(n, units, width):
+    """A `_tree` level table: a row of symbol indices per unit, padded to
+    `width` with the zero column n."""
+    return np.array([[*u] + [n] * (width - len(u)) for u in units],
+                    dtype=np.intp).reshape(len(units), width)
 
 
-def _prefix_verdicts(field, h, block, width, carry):
-    """The verdicts on the groups of `block`, in order, by one call of
-    `gf.eliminate` on `width` padded prefix columns and `carry` carried ones
-    a prefix (every column of `h` but its zero last one, or its own last)."""
-    rows, n = h.shape[0], h.shape[1] - 1
-    every = carry == n
-    idx = []
-    for prefix, lasts in block:
-        idx += (*prefix, *[n] * (width - len(prefix)))
-        if not every:
-            idx += lasts
-    cols = np.array(idx, dtype=np.intp).reshape(len(block), -1)
-    m = np.empty((rows, width + carry, len(block)), dtype=np.uint8)
-    m[:, :cols.shape[1]] = h[:, cols.T]
-    if every:
-        m[:, width:] = h[:, :n, None]
-    ranks = gf.eliminate(field, m, width).tolist()
-    free = ~m[:, :width].any(axis=1)
-    ok = ((m[:, width:] != 0) & free[:, None]).any(axis=0).T.tolist()
-    out = []
-    for (prefix, lasts), row, rank in zip(block, ok, ranks):
-        if rank < len(prefix):
-            out += [False] * len(lasts)
-        else:
-            out += map(row.__getitem__, lasts) if every else row
-    return out
+def _falses(count):
+    """`count` False verdicts, in blocks of BLOCK."""
+    for start in range(0, count, BLOCK):
+        yield [False] * min(BLOCK, count - start)
 
 
 def _walk(code, granularity, budget, decoder="joint", size=None):
@@ -350,8 +381,8 @@ def _walk(code, granularity, budget, decoder="joint", size=None):
         raise ValueError("f=%d is outside 1..%d, the %s count of code %s"
                          % (size, len(units), granularity, code.name))
     masks = [_expand(code, [u], granularity) for u in units]
-    parts = [tuple(_bits(m)) for m in masks]
-    flat = [p[0] for p in parts] if all(len(p) == 1 for p in parts) else None
+    parts = [_bits(m) for m in masks]
+    table = _table(code.n, parts, max(map(len, parts)))
     # fewest[f]: the fewest symbols that f units erase
     fewest = list(accumulate(sorted(map(len, parts)), initial=0))
     if code._rank is None:
@@ -366,14 +397,9 @@ def _walk(code, granularity, budget, decoder="joint", size=None):
             raise BudgetExceeded("%d patterns exceed the budget of %d"
                                  % (spent, budget))
         if decoder == "joint" and fewest[f] > code._rank:
-            for start in range(0, total, BLOCK):
-                yield [False] * min(BLOCK, total - start)
-        elif decoder == "joint" and flat:
-            yield from _verdicts(code, _groups((), flat, f))
-        elif decoder == "joint":  # units of several symbols share no prefix
-            yield from _verdicts(code, ((s[:-1], s[-1:]) for s in (
-                tuple([j for u in p for j in u])
-                for p in combinations(parts, f))))
+            yield from _falses(total)
+        elif decoder == "joint":
+            yield from _tree(code, [(table, False)] * f)
         else:  # the units' masks are disjoint: their sum is their union
             patterns = combinations(masks, f)
             while block := list(islice(patterns, BLOCK)):
@@ -450,32 +476,27 @@ def classify_array_code(code, n, m, r, s, budget=DEFAULT_BUDGET):
     cols = code.columns()
     if len(cols) != n:
         raise ValueError("expected %d columns" % n)
-    row_choices = [list(combinations(sorted(rows_of[rr], key=str), m))
-                   for rr in sorted(rows_of)]
-    # each property: its test count and the erased masks it adds s extras to
-    checks = {
-        "SD": (math.comb(n, m) * math.comb(r * (n - m), s),
-               (_expand(code, colset, "column")
-                for colset in combinations(cols, m))),
-        "PMDS": (math.prod(map(len, row_choices)) * math.comb(r * (n - m), s),
-                 (_expand(code, chain(*picks), "symbol")
-                  for picks in product(*row_choices))),
-    }
     # the extras are drawn from the symbols in str order
     names = list(map(str, code.symbols))
-    by_str = sorted(range(code.n), key=names.__getitem__)
-
-    def groups(bases):  # with s = 0, each base is its own group
-        for base in bases:
-            b = tuple(_bits(base))
-            rest = [j for j in by_str if not base >> j & 1]
-            yield from _groups(b, rest, s) if s else [(b[:-1], b[-1:])]
-
+    by_str = np.array(sorted(range(code.n), key=names.__getitem__))
+    columns = [_bits(_expand(code, [c], "column")) for c in cols]
+    if any(len(c) != r for c in columns):
+        raise ValueError("expected %d symbols in each column" % r)
+    rows = [_table(code.n, list(combinations(sorted(
+        (code._index[x] for x in rows_of[rr]), key=names.__getitem__), m)),
+        m) for rr in sorted(rows_of)]
+    # each property: its test count and the levels that pick its bases
+    checks = {
+        "SD": (math.comb(n, m) * math.comb(r * (n - m), s),
+               [(_table(code.n, columns, r), False)] * m),
+        "PMDS": (math.prod(map(len, rows)) * math.comb(r * (n - m), s),
+                 [(t, True) for t in rows if t.shape[1]]),
+    }
     holds = {}
-    for name, (tests, bases) in checks.items():
+    for name, (tests, levels) in checks.items():
         if tests > budget:
             raise BudgetExceeded("%s check needs %d tests" % (name, tests))
-        holds[name] = all(map(all, _verdicts(code, groups(bases))))
+        holds[name] = all(map(all, _tree(code, levels, by_str, s)))
     if holds["PMDS"] and not holds["SD"]:
         raise AssertionError("PMDS without SD; enumeration is inconsistent")
     if holds["PMDS"]:

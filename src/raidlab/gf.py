@@ -2,9 +2,9 @@
 #
 # Addition is XOR.  Multiplication uses log/antilog tables built from a fixed
 # primitive polynomial per field size.  GF(2) is special-cased (bit algebra).
-# Elimination is table-driven and vectorised across a stack of matrices:
-# each Field builds its full product table and inverse table once, on first
-# use, as uint8 arrays; over GF(2) the products are ANDs.
+# Elimination is table-driven and vectorised across a stack of matrices, one
+# pivot step at a time: each Field builds its full product table and inverse
+# table once, on first use, as uint8 arrays; over GF(2) the products are ANDs.
 
 from functools import cached_property
 
@@ -86,6 +86,23 @@ class Field:
         inv[1:] = exp[n - log]
         return mul, inv
 
+    @cached_property
+    def kernel(self):
+        """(times, scale) for `pivot`: the elementwise product of uint8
+        arrays, an AND over GF(2), and SCALE[1, p] = 1 / p, SCALE[0] = 0."""
+        mul, inv = self.tables
+        scale = np.zeros((2, self.order), dtype=np.uint8)
+        scale[1] = inv
+        if self.w == 1:
+            return np.bitwise_and, scale
+        mul, w = mul.ravel(), self.w
+        index = np.uint8 if self.order <= 16 else np.uint16
+
+        def times(a, b):  # through the flat product table
+            return mul.take(np.left_shift(a, w, dtype=index) | b)
+
+        return times, scale
+
     def elements(self):
         return range(self.order)
 
@@ -98,46 +115,50 @@ GF16 = Field(4)
 GF256 = Field(8)
 
 
-def eliminate(field, m, ncols):
-    """Gauss-Jordan, in place, on every matrix of the uint8 stack `m`,
-    pivoting on the first `ncols` columns; returns each matrix's rank.
+def pivot(field, m, cols, free):
+    """One Gauss-Jordan step, in place, on every matrix of the uint8 stack
+    `m`: matrix i pivots on its column cols[i], or, given an int, every
+    matrix on that column, with the columns left of it taken as final and
+    no longer updated.  Returns whether each matrix found a pivot.
 
-    `m` has shape (rows, cols, patterns): the pattern axis is last, so each
-    step runs along contiguous patterns.  Rows stay where they are: a pivot
-    row is scaled to 1 in its pivot column, which is cleared from every
-    other row.  Columns beyond `ncols` (right-hand sides) are carried along;
-    columns left of the current one are final and no longer updated.
+    `m` has shape (rows, cols, matrices): the matrix axis is last, so the
+    step runs along contiguous matrices.  `free` (rows, matrices) marks the
+    rows without a pivot; the pivot is the first free row nonzero in the
+    column, which leaves `free`.  Rows stay where they are: the pivot row is
+    scaled to 1 in the pivot column, which is cleared from every other row.
+    A matrix without a pivot is left as it is.
     """
-    mul, inv = field.tables
-    mul = mul.ravel()
-    # INV of a pivot, or 0 for a matrix without one: its row is then zeroed
-    scale = np.zeros((2, field.order), dtype=np.uint8)
-    scale[1] = inv
-
-    if field.w == 1:  # GF(2): a product of bits is their AND
-        times = np.bitwise_and
+    times, scale = field.kernel
+    at = np.arange(m.shape[2])
+    if not len(m):
+        return np.zeros(len(at), dtype=bool)
+    if isinstance(cols, int):
+        m = m[:, cols:]
+        col = m[:, 0].copy()
     else:
-        def times(a, b):  # elementwise a * b through the flat product table
-            return mul.take(np.left_shift(a, field.w, dtype=np.intp) | b)
+        col = m[:, cols, at]
+    cand = (col != 0) & free
+    piv = cand.argmax(axis=0)
+    has = cand[piv, at]
+    row = m[piv, :, at].T
+    row = times(scale[has.view(np.uint8), col[piv, at]], row)
+    # row i gains f_i * row, f the pivot column, which the other rows thus
+    # clear; the pivot row's factor p + 1 turns it into the scaled row
+    col[piv, at] ^= has
+    m ^= times(col[:, None], row)
+    free[piv, at] ^= has
+    return has
 
+
+def eliminate(field, m, ncols):
+    """Gauss-Jordan, in place, on every matrix of the uint8 stack `m`
+    (rows, cols, matrices), pivoting on the first `ncols` columns in order
+    by `pivot`; returns each matrix's rank.  Columns beyond `ncols`
+    (right-hand sides) are carried along."""
     nrows, _, b = m.shape
-    if not nrows:
-        return np.zeros(b, dtype=np.intp)
-    at = np.arange(b)
     free = np.ones((nrows, b), dtype=bool)
     for c in range(ncols):
-        col = m[:, c]
-        cand = (col != 0) & free
-        piv = cand.argmax(axis=0)
-        has = cand[piv, at]
-        row = m[piv, c:, at].T
-        row = times(scale[has.view(np.uint8), row[0]], row)
-        # row i gains f_i * row: f is column c, so the other rows clear it,
-        # and the pivot row's factor p + 1 turns it into the scaled row
-        f = col.copy()
-        f[piv, at] ^= has
-        m[:, c:] ^= times(f[:, None], row)
-        free[piv, at] ^= has
+        pivot(field, m, c, free)
     return nrows - free.sum(axis=0)
 
 

@@ -38,9 +38,11 @@ def run_blocks(block, args, seed, reps, lo, hi):
 def run(block, args, seed, reps, jobs=1):
     """Per-replication samples of `reps` replications, in replication
     order, and the run's extras.  jobs > 1 fans contiguous runs of blocks
-    over a process pool; the samples are the same for any worker count."""
+    over a process pool, when each worker gets at least two blocks: a
+    worker's start-up costs more than a block; the samples are the same
+    for any worker count."""
     n_blocks = -(-reps // BLOCK)
-    jobs = min(jobs, n_blocks)
+    jobs = min(jobs, n_blocks // 2)
     if jobs <= 1:
         runs = [run_blocks(block, args, seed, reps, 0, n_blocks)]
     else:

@@ -4,7 +4,7 @@ import random
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
-from itertools import accumulate, chain, combinations, groupby, islice
+from itertools import accumulate, chain, combinations, islice
 from math import comb
 from pathlib import Path
 
@@ -826,18 +826,6 @@ def _flat(blocks):
     return list(chain.from_iterable(blocks))
 
 
-def _grouped(patterns):
-    """Consecutive patterns with one prefix, all but the last index, as the
-    (prefix, lasts) groups that `codes._verdicts` takes."""
-    return [(prefix, [p[-1] for p in run])
-            for prefix, run in groupby(patterns, lambda p: p[:-1])]
-
-
-def _patterns_of(groups):
-    """The patterns of (prefix, lasts) groups: each prefix with each last."""
-    return [(*prefix, last) for prefix, lasts in groups for last in lasts]
-
-
 def _parts(code, granularity):
     """Each unit's symbol indices, in the unit order of `codes._walk`."""
     units = code.columns() if granularity == "column" else code.symbols
@@ -845,25 +833,53 @@ def _parts(code, granularity):
             for u in units]
 
 
-def _index_patterns(code, granularity):
-    """The symbol-index patterns of every 1 to 3 units, in walk order."""
-    parts = _parts(code, granularity)
-    return [sum(p, ()) for f in (1, 2, 3) for p in combinations(parts, f)]
+def _table(code, units):
+    """Units of symbol indices as a `codes._tree` level table, as wide as
+    its widest unit."""
+    return codes._table(code.n, units, max(map(len, units), default=1))
 
 
-def _random_groups(code, count, seed):
-    """Seeded (prefix, lasts) groups of `count` patterns of 1 to 6 symbols,
-    one to four a group."""
-    rng = random.Random(seed)
-    out, total = [], 0
-    while total < count:
-        prefix = tuple(rng.sample(range(code.n),
-                                  rng.randint(0, min(5, code.n - 1))))
-        rest = [j for j in range(code.n) if j not in prefix]
-        lasts = rng.sample(rest, rng.randint(1, min(4, len(rest))))
-        out.append((prefix, lasts[:count - total]))
-        total += len(out[-1][1])
-    return out
+def _tree_patterns(code, levels, order=(), s=0):
+    """The symbol-index patterns that `codes._tree` decides, in its order:
+    a unit per level, past the previous level's unless the level is fresh,
+    then s extras, in `order`, from the symbols no level picked."""
+    def below(d, cur, picked):
+        if d == len(levels):
+            rest = [j for j in list(order) if j not in picked]
+            for extra in combinations(rest, s):
+                yield picked + extra
+            return
+        table, fresh = levels[d]
+        for p in range(0 if fresh else cur + 1, len(table)):
+            yield from below(d + 1, p, picked + tuple(
+                j for j in table[p].tolist() if j < code.n))
+    return below(0, -1, ())
+
+
+def _walk_trees(code):
+    """(levels, order, s) of the size 1 to 3 walks over the code's symbols
+    and columns and over a seeded partition of its symbols into units of
+    one to three, and of a seeded product of two fresh levels with extras:
+    at most a few thousand patterns each."""
+    rng = random.Random(code.n)
+    trees = []
+    shuffled = rng.sample(range(code.n), code.n)
+    cuts = sorted(rng.sample(range(1, code.n), min(code.n - 1, code.n // 2)))
+    mixed = [tuple(shuffled[i:j]) for i, j in zip([0] + cuts, cuts + [code.n])
+             if len(shuffled[i:j]) <= 3] or [(j,) for j in shuffled]
+    for units in (_parts(code, "symbol"), _parts(code, "column"), mixed):
+        table = _table(code, units)
+        trees += [([(table, False)] * f, (), 0)
+                  for f in (1, 2, 3) if f <= len(units)]
+    # two fresh levels over disjoint pools, k-subsets of each, then extras
+    k = rng.randint(1, 2)
+    pools = [shuffled[:k + 2], shuffled[k + 2:2 * k + 4]]
+    if len(pools[1]) == k + 2 and code.n > 2 * k + 4:
+        levels = [(_table(code, list(combinations(pool, k))), True)
+                  for pool in pools]
+        trees.append((levels, np.array(rng.sample(range(code.n), code.n)),
+                      rng.randint(1, 2)))
+    return trees
 
 
 def _sizes_above_rank(code, granularity):
@@ -876,20 +892,20 @@ def _sizes_above_rank(code, granularity):
 
 
 class TestPrefixVerdicts:
-    # CELLS of 1 leaves one prefix per kernel call; 97 splits the prefix
-    # groups of one size over calls of a few prefixes of mixed widths
+    # CELLS of 1 leaves one node per kernel call; 97 splits each level of
+    # a tree over many small chunks
     @pytest.mark.parametrize("cells", [None, 1, 97], ids=["CELLS", "1", "97"])
     @pytest.mark.parametrize("name", sorted(builders.BUILDERS))
     def test_matches_per_pattern_rank_tests(self, name, cells, monkeypatch):
         if cells is not None:
             monkeypatch.setattr(codes, "CELLS", cells)
         code = _small(name)
-        for groups in (_grouped(_index_patterns(code, "symbol")),
-                       _grouped(_index_patterns(code, "column")),
-                       _random_groups(code, 2000, seed=len(name))):
-            got = _flat(codes._verdicts(code, iter(groups)))
+        trees = _walk_trees(code)
+        assert len(trees) >= 7
+        for levels, order, s in trees:
+            got = _flat(codes._tree(code, levels, order, s))
             assert got == _flat(_per_pattern_verdicts(
-                code, _patterns_of(groups)))
+                code, _tree_patterns(code, levels, order, s)))
             assert all(type(v) is bool for v in got)
 
     @pytest.mark.parametrize("variant,s,want,checked,cells", [
@@ -900,76 +916,129 @@ class TestPrefixVerdicts:
     def test_classification_matches_per_pattern_rank_tests(
             self, variant, s, want, checked, cells, monkeypatch):
         # every pattern of a check goes through both paths, or the first
-        # `checked` of them, in runs of groups
+        # `checked` of them, block by block
         if cells is not None:
             monkeypatch.setattr(codes, "CELLS", cells)
-        real = codes._verdicts
+        real = codes._tree
         seen = []
 
-        def both(code, groups):
-            groups = iter(groups)
-            while len(seen) < (checked or float("inf")) and \
-                    (run := list(islice(groups, 1_000))):
-                got = _flat(real(code, run))
-                patterns = _patterns_of(run)
-                assert got == _flat(_per_pattern_verdicts(code, patterns))
-                seen.extend(patterns)
+        def both(code, levels, order=(), s=0):
+            patterns = _tree_patterns(code, levels, order, s)
+            for got in real(code, levels, order, s):
+                if len(seen) < (checked or float("inf")):
+                    run = list(islice(patterns, len(got)))
+                    assert got == _flat(_per_pattern_verdicts(code, run))
+                    seen.extend(run)
                 yield got
-            yield from real(code, groups)
 
-        monkeypatch.setattr(codes, "_verdicts", both)
+        monkeypatch.setattr(codes, "_tree", both)
         code = builders.pmds_fig(variant)
         assert classify_array_code(code, n=7, m=1, r=4, s=s) == want
         assert seen and len(seen) >= (checked or 0)
+        if variant == "pmds" and checked is None:  # the walk read them all
+            assert len(seen) == 7 ** 4 * comb(24, s) + 7 * comb(24, s)
 
     def test_working_set_stays_within_cells(self, monkeypatch):
-        # a kernel call stacks at most CELLS uint8 cells, unless it holds a
-        # single prefix (pattern axis of length one)
-        eliminate, shapes = gf.eliminate, []
-
-        def recorded(field, m, ncols):
-            shapes.append(m.shape)
-            return eliminate(field, m, ncols)
-
-        monkeypatch.setattr(gf, "eliminate", recorded)
+        # a kernel call, a pivot step or an elimination, stacks at most
+        # CELLS uint8 cells, unless it holds a single matrix
+        shapes = {}
+        for kernel in ("eliminate", "pivot"):
+            real = getattr(gf, kernel)
+            monkeypatch.setattr(gf, kernel, lambda field, m, *a, real=real,
+                                kernel=kernel: shapes.setdefault(
+                                    kernel, []).append(m.shape)
+                                or real(field, m, *a))
         assert recoverable_fraction(builders.rdp(7), 3)[2] == (17260, 17296)
         assert loss_coefficients(builders.xorbas_16_10_5()) == \
             [1, 16, 120, 560, 1820, 4361, 7335] + [0] * 10
-        assert len(shapes) > 20
-        over = [s for s in shapes
+        assert classify_array_code(builders.pmds_fig("pmds"), 7, 1, 4, 1) \
+            == "PMDS"
+        assert loss_coefficients(builders.rdp(7), "column") == \
+            [1, 8, 28] + [0] * 6
+        assert len(shapes["pivot"]) > 20 and shapes["eliminate"]
+        over = [s for s in shapes["pivot"] + shapes["eliminate"]
                 if s[0] * s[1] * s[2] > codes.CELLS and s[2] > 1]
         assert over == []
 
-    @pytest.mark.parametrize("make,width,coeffs", [
-        (lambda: builders.rdp(7), 12, [1, 8, 28] + [0] * 6),
-        (lambda: builders.xcode(7), 14, [1, 7, 21] + [0] * 5),
+    @pytest.mark.parametrize("make,coeffs", [
+        (lambda: builders.rdp(7), [1, 8, 28] + [0] * 6),
+        (lambda: builders.xcode(7), [1, 7, 21] + [0] * 5),
     ], ids=["rdp7", "xcode7"])
     def test_multi_symbol_columns_carry_their_own_last_column(
-            self, make, width, coeffs, monkeypatch):
-        # column patterns over units of several symbols share no prefix, so
-        # each stack is as wide as its patterns, not prefix + every column
+            self, make, coeffs, monkeypatch):
+        # a unit of several symbols, the last one too, takes a pivot step
+        # per symbol, each matrix on its own column; the steps carry every
+        # column of _H and the zero one, and nothing else ranks a pattern
         # (the first walk also ranks the whole of _H, so it runs unrecorded)
-        code, eliminate, shapes = make(), gf.eliminate, []
+        code, shapes = make(), {}
         assert loss_coefficients(code, "column") == coeffs
-
-        def recorded(field, m, ncols):
-            shapes.append(m.shape)
-            return eliminate(field, m, ncols)
-
-        monkeypatch.setattr(gf, "eliminate", recorded)
+        for kernel in ("eliminate", "pivot"):
+            real = getattr(gf, kernel)
+            monkeypatch.setattr(gf, kernel, lambda field, m, *a, real=real,
+                                kernel=kernel: shapes.setdefault(
+                                    kernel, set()).add(m.shape[1])
+                                or real(field, m, *a))
         assert loss_coefficients(code, "column") == coeffs
-        assert shapes and max(s[1] for s in shapes) == width
+        assert shapes == {"pivot": {code.n + 1}}
 
-    def test_groups_expand_to_combinations(self):
-        # in combinations order, with no group of no pattern, for every f
-        # up to past the items (an empty `flat` too) and any head
-        for head in ((), (7,), (9, 3)):
-            for flat in ([], [4], [5, 0, 2], [1, 6, 8, 2, 11]):
-                for f in range(1, len(flat) + 2):
-                    groups = list(codes._groups(head, flat, f))
-                    assert all(lasts for _, lasts in groups)
-                    assert _patterns_of(groups) == \
-                        [head + c for c in combinations(flat, f)]
+    def test_tree_yields_one_verdict_per_pattern(self):
+        # in the order of its patterns, for every size up to past the
+        # units, tables of no unit too, and a fresh level after a walk
+        code = builders.rdp(5)
+        for units in ([], [(4,)], [(5,), (0,), (2,)],
+                      [(1, 7), (6,), (8, 3), (2, 11), (0,)]):
+            table = _table(code, units)
+            for f in range(1, len(units) + 2):
+                for levels in ([(table, False)] * f,
+                               [(table, False)] * f + [(table, True)]):
+                    patterns = list(_tree_patterns(code, levels))
+                    got = _flat(codes._tree(code, levels))
+                    assert len(got) == len(patterns)
+                    assert got == _flat(_per_pattern_verdicts(code,
+                                                              patterns))
+
+    def test_prefix_without_a_last_yields_no_verdict(self, monkeypatch):
+        # a size-2 column walk of rdp(5): the prefix of the next-to-last
+        # column has one last, and the last column's prefix has none, so
+        # it is never pivoted, and it adds no matrix to the kernel calls
+        # that pivot every last unit of the size
+        code = builders.rdp(5)
+        parts = _parts(code, "column")
+        calls = []
+        real = gf.pivot
+        monkeypatch.setattr(gf, "pivot", lambda field, m, cols, free: (
+            calls.append(cols.tolist()) or real(field, m, cols, free)))
+        got = _flat(codes._tree(code, [(_table(code, parts), False)] * 2))
+        patterns = [sum(p, ()) for p in combinations(parts, 2)]
+        assert len(got) == len(patterns) == comb(len(parts), 2)
+        width = len(parts[0])
+        assert calls[:width] == [[p[k] for p in parts[:-1]]
+                                 for k in range(width)]
+        assert calls[width:] == [[p[k] for i in range(len(parts))
+                                  for p in parts[i + 1:]]
+                                 for k in range(width)]
+        monkeypatch.undo()  # the reference pivots too
+        assert got == _flat(_per_pattern_verdicts(code, patterns))
+
+    def test_dead_prefixes_fill_their_gaps_in_blocks(self):
+        # xorbas tolerates any 4 erasures, and a symbol z in no equation
+        # kills every pattern with it: the 286 patterns below z go out in
+        # blocks of at most BLOCK, and no run of False verdicts longer than
+        # BLOCK + 1 shares a block with a True one
+        xorbas = builders.xorbas_16_10_5()
+        data = xorbas.data_ids
+        code = replace(xorbas, name="xorbas+z", column_map=None,
+                       data_ids=data[:3] + ("z",) + data[3:])
+        (_, total, verdicts), = codes._walk(code, "symbol", comb(17, 4),
+                                            size=4)
+        blocks = list(verdicts)
+        assert total == comb(17, 4)
+        assert _flat(blocks) == [3 not in c
+                                 for c in combinations(range(17), 4)]
+        for b in blocks:
+            runs = "".join("x" if v else "." for v in b).split("x")
+            assert len(b) <= codes.BLOCK if not any(b) else \
+                max(map(len, runs)) <= codes.BLOCK + 1
 
     def test_empty_pattern_sets_are_rejected(self):
         with pytest.raises(ValueError, match="^m [+] s must be at least 1"):
@@ -996,10 +1065,14 @@ class TestRankBound:
         assert code._rank == gf.rank(code.field, code._H)
         above = _sizes_above_rank(code, granularity)
         units = len(_parts(code, granularity))
-        calls = []
-        eliminate = gf.eliminate
-        monkeypatch.setattr(gf, "eliminate",
-                            lambda *a: calls.append(a) or eliminate(*a))
+        calls, trees = [], []
+        for kernel in ("eliminate", "pivot"):
+            real = getattr(gf, kernel)
+            monkeypatch.setattr(gf, kernel, lambda *a, real=real:
+                                calls.append(a) or real(*a))
+        tree = codes._tree
+        monkeypatch.setattr(codes, "_tree", lambda code, levels, *a:
+                            trees.append(len(levels)) or tree(code, levels))
         assert above == list(range(units - len(above) + 1, units + 1))
         for f in above:
             (_, total, verdicts), = codes._walk(code, granularity,
@@ -1010,12 +1083,15 @@ class TestRankBound:
             assert lengths == [min(codes.BLOCK, total - i * codes.BLOCK)
                                for i in range(len(blocks))]
             assert not any(chain(*blocks))
-        assert calls == []
-        if above and above[0] > 1:  # the size below still takes the kernel
+        assert calls == [] and trees == []
+        if above and above[0] > 1:  # the size below still builds its tree
             (_, _, verdicts), = codes._walk(code, granularity, float("inf"),
                                             size=above[0] - 1)
             next(verdicts)
-            assert calls
+            assert trees == [above[0] - 1]
+            # and takes the kernel, unless one-symbol units of a size of
+            # one, which read their verdicts off the columns of _H
+            assert calls or above[0] == 2 and units == code.n
 
     @pytest.mark.parametrize("name", sorted(builders.BUILDERS))
     def test_fractions_and_sets_match_per_pattern_rank_tests(self, name):
@@ -1047,12 +1123,13 @@ class TestRankBound:
             assert codes.recoverable_sets(code, granularity) == want
 
     def test_xorbas_loss_coefficients_skip_sevens(self, monkeypatch):
-        real, sizes = codes._verdicts, set()
+        real, sizes = codes._tree, set()
 
-        def noted(code, groups):
-            return real(code, (sizes.add(len(g[0]) + 1) or g for g in groups))
+        def noted(code, levels, *extras):
+            sizes.add(len(levels))
+            return real(code, levels, *extras)
 
-        monkeypatch.setattr(codes, "_verdicts", noted)
+        monkeypatch.setattr(codes, "_tree", noted)
         code = builders.xorbas_16_10_5()
         assert loss_coefficients(code) == \
             [1, 16, 120, 560, 1820, 4361, 7335] + [0] * 10

@@ -250,6 +250,45 @@ class TestGF2Elimination:
             assert stack.tobytes() == want.tobytes()
 
 
+class TestPivotStep:
+    @given(field_batches(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_own_column_orders_give_the_permuted_ranks(self, fb, data):
+        # one step pivots every matrix of the stack on a column of its own;
+        # after k steps each matrix's rank is that of its first k columns
+        # in its order, as gf.eliminate and the largest nonzero minor say
+        field, mats = fb
+        stack = np.array(mats, dtype=np.uint8).transpose(1, 2, 0).copy()
+        nrows, ncols, _ = stack.shape
+        orders = np.array([data.draw(st.permutations(range(ncols)))
+                           for _ in mats]).reshape(len(mats), ncols)
+        permuted = np.stack([np.array(a, dtype=np.uint8)[:, o]
+                             for a, o in zip(mats, orders)], axis=2)
+        free = np.ones((nrows, len(mats)), dtype=bool)
+        gained = np.zeros(len(mats), dtype=int)
+        for k in range(ncols):
+            gained += gf.pivot(field, stack, orders[:, k], free)
+            assert gained.tolist() == (nrows - free.sum(axis=0)).tolist()
+            want = gf.eliminate(field, permuted[:, :k + 1].copy(), k + 1)
+            assert gained.tolist() == want.tolist() == [
+                _minor_rank(field, p[:, :k + 1].tolist())
+                for p in permuted.transpose(2, 0, 1)]
+
+    @given(field_batches(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_elimination_matches_the_table_reference(self, fb, data):
+        # the whole stack, carried columns too, byte for byte, in all three
+        # fields: the pivot step's products equal the product table's
+        field, mats = fb
+        stack = np.array(mats, dtype=np.uint8).transpose(1, 2, 0).copy()
+        ncols = data.draw(st.integers(1, stack.shape[1]))
+        want = stack.copy()
+        ranks = gf.eliminate(field, stack, ncols)
+        assert ranks.tolist() == \
+            _eliminate_by_table(field, want, ncols).tolist()
+        assert stack.tobytes() == want.tobytes()
+
+
 class TestEliminationOracle:
     @given(field_matrices(st.integers(1, 4), lambda r: st.integers(1, 5)))
     @settings(max_examples=300, deadline=None)

@@ -128,6 +128,22 @@ class TestReplay:
         assert sim_hraid_mttdl(cfg1).estimate != sim_hraid_mttdl(cfg2).estimate
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker count of each process pool that montecarlo.run starts."""
+    import concurrent.futures
+    started = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    class Recorded(real):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+    return started
+
+
 def _raw_block(rng, size):
     """A block that reports its stream: seed state and first raw draws."""
     return (rng.bit_generator.seed_seq.generate_state(4),
@@ -161,17 +177,28 @@ class TestStreams:
         parts, events = run_blocks(_raw_block, (), 7, 2 * BLOCK + 5, 0, 3)
         assert events == 2 * BLOCK + 5
 
-    def test_worker_count_invisible(self):
-        # three blocks, the last one partial
+    def test_worker_count_invisible(self, pools):
+        # six blocks, the last one partial: two or three workers of two
         cfg = SimConfig(nodes=2, disks_per_node=4, intra_tolerance=1,
-                        delta=1e-5, replications=2 * BLOCK + 201, seed=5)
+                        delta=1e-5, replications=5 * BLOCK + 201, seed=5)
         a = sim_hraid_mttdl(cfg, jobs=1)
-        assert a.extras["blocks"] == 3
+        assert a.extras["blocks"] == 6
         assert a.extras["events"] >= a.replications
         for jobs in (2, 3):
             b = sim_hraid_mttdl(cfg, jobs=jobs)
             assert (a.estimate, a.half_width, a.breakdown, a.extras) == \
                 (b.estimate, b.half_width, b.breakdown, b.extras)
+        assert pools == [2, 3]
+
+    def test_three_blocks_start_no_pool(self, pools):
+        # a worker gets at least two blocks, so two workers need four
+        cfg = SimConfig(nodes=2, disks_per_node=4, intra_tolerance=1,
+                        delta=1e-5, replications=2 * BLOCK + 201, seed=5)
+        a, b = sim_hraid_mttdl(cfg, jobs=1), sim_hraid_mttdl(cfg, jobs=2)
+        assert a.extras["blocks"] == 3
+        assert (a.estimate, a.half_width, a.extras) == \
+            (b.estimate, b.half_width, b.extras)
+        assert pools == []
 
 
 class TestHraid:
@@ -328,15 +355,19 @@ class TestGenericMttdl:
     def test_code_predicate_decides_each_failed_set_once(self, monkeypatch):
         from raidlab import codes
         asked = []
-        real = codes._verdicts
+        real = codes._tree
 
-        def counting(code, groups):
-            groups = list(groups)
-            asked.extend(frozenset((*prefix, last))
-                         for prefix, lasts in groups for last in lasts)
-            return real(code, groups)
+        def counting(code, levels, *extras):
+            # a walk of size f: f picks, in order, from one unit table
+            table = levels[0][0]
+            assert not extras and all(t is table and not fresh
+                                      for t, fresh in levels)
+            asked.extend(frozenset(table[list(c)].ravel().tolist())
+                         for c in combinations(range(len(table)),
+                                               len(levels)))
+            return real(code, levels)
 
-        monkeypatch.setattr(codes, "_verdicts", counting)
+        monkeypatch.setattr(codes, "_tree", counting)
         code = builders.was_lrc_6_2_2()
         rep = sim_code_mttdl(code, 0.1, 1.0, regime="angus", reps=100,
                              seed=7)
@@ -380,16 +411,17 @@ class TestGenericMttdl:
                              regime="chen", reps=200, seed=7)
         assert rep.estimate == 23.582204621368973
 
-    def test_code_kind_worker_count_invisible(self):
+    def test_code_kind_worker_count_invisible(self, pools):
         from raidlab import codes
         code = builders.was_lrc_6_2_2()
         table = codes.recoverable_sets(code, "column")
         args = (len(code.columns()), 0.1, 1.0, "chen",
                 table[-1].bit_count(), table)
         assert not any(map(callable, args))
-        one = montecarlo.run(loop_block, args, 7, 2 * BLOCK + 5, jobs=1)
-        two = montecarlo.run(loop_block, args, 7, 2 * BLOCK + 5, jobs=2)
-        assert one[1] == two[1] == {"events": one[1]["events"], "blocks": 3}
+        one = montecarlo.run(loop_block, args, 7, 3 * BLOCK + 5, jobs=1)
+        two = montecarlo.run(loop_block, args, 7, 3 * BLOCK + 5, jobs=2)
+        assert pools == [2]
+        assert one[1] == two[1] == {"events": one[1]["events"], "blocks": 4}
         for a, b in zip(one[0], two[0], strict=True):
             assert np.array_equal(a, b)
 
