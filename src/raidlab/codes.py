@@ -269,7 +269,9 @@ def _tree(code, levels, order=None, s=0):
     on its units, and only the rows without a pivot decide its descendants.
     A child takes a `gf.pivot` step per symbol of its unit from its parent's
     state; one symbol raises the rank iff its column is nonzero on such a
-    row, which the parent shows, so a last unit of one symbol takes no step.
+    row, which the parent shows, so a last unit of one symbol takes no step,
+    and two last ones from one list are read off their grandparent: they
+    raise it by two iff neither column is zero or a multiple of the other.
     A child short of a pivot is not extended: its patterns are all False.
     Levels are built in chunks of CELLS cells, depth first, in order."""
     rows, n = code._H.shape
@@ -284,25 +286,61 @@ def _tree(code, levels, order=None, s=0):
         ways = [sums[0]] * sizes[d - 1] if spec[d][1] else sums[1:]
     done = 0  # the verdicts yielded
 
+    def emit(at, verdicts):
+        # the verdicts of the patterns at the ascending indices `at`; the
+        # False verdicts of dead prefixes fill the gaps, a gap of more than
+        # BLOCK in blocks of its own
+        nonlocal done
+        cuts = ((at[1:] - at[:-1]) > BLOCK + 1).nonzero()[0] + 1
+        for a, b in zip([0, *cuts], [*cuts, len(at)]) if len(at) else ():
+            yield from _falses(int(at[a]) - done)
+            out = np.zeros(at[b - 1] + 1 - at[a], dtype=bool)
+            out[at[a:b] - at[a]] = verdicts[a:b]
+            done = int(at[b - 1]) + 1
+            yield out.tolist()
+
     def grow(m, cur, aux, d, start):
         # the children of the level-d nodes of a chunk, whose first
         # patterns are the start-th; m holds the free rows of each node's
         # state, aux each node's picked symbols, or the extras it picks from
-        nonlocal done
         table, fresh = spec[d]
         if table is None and d == len(levels):
             aux = np.broadcast_to(order, aux[:, order].shape)[
                 ~aux[:, order]].reshape(len(aux), -1)
         after = below[d]
         first = np.zeros_like(cur) if fresh else cur + 1
-        valid = (after[:-1] > after[1:]) & (
-            np.arange(len(after) - 1) >= first[:, None])
+        nodes, picks = np.arange(len(m))[:, None], np.arange(len(after) - 1)
+        valid = (after[:-1] > after[1:]) & (picks >= first[:, None])
         last = d + 1 == len(spec)
         single = table is None or table.shape[1] == 1
         if single:  # a unit's image: nonzero on a free row
             img = (m != 0).any(axis=1)
-            ok = valid & (img[:, table[:, 0]] if table is not None else
-                          img[np.arange(len(m))[:, None], aux])
+            img = img[:, table[:, 0]] if table is not None else img[nodes, aux]
+            ok = valid & img
+        if single and d + 2 == len(spec) and spec[d + 1][0] is table and \
+                not spec[d + 1][1] and len(m[0]):
+            # the last two units, one symbol each from one list: a pair is
+            # recoverable iff both images are nonzero and not proportional,
+            # so each image is scaled to lead with 1, and they are compared,
+            # for as many nodes as CELLS pairs
+            v = m[:, :, table[:, 0]] if table is not None else \
+                m[nodes, :, aux].transpose(0, 2, 1)
+            times, scale = code.field.kernel
+            lead = v[nodes, (v != 0).argmax(axis=1), picks]
+            v = times(scale[1][lead][:, None], v)
+            step = max(1, CELLS // max(1, len(picks)) ** 2)
+            for lo in range(0, len(m), step):
+                i = slice(lo, lo + step)
+                same = np.ones(img[i].shape + picks.shape, dtype=bool)
+                for row in v[i].transpose(1, 0, 2):
+                    same &= row[:, :, None] == row[:, None, :]
+                pairs = valid[i, :, None] & (picks[:, None] < picks)
+                counts = pairs.sum(axis=(1, 2))
+                yield from emit(
+                    np.repeat(start[i] - np.cumsum(counts) + counts, counts)
+                    + np.arange(counts.sum()),
+                    (img[i, :, None] & img[i, None] & ~same)[pairs])
+            return
         par, q = (ok if single and not last else valid).nonzero()
         cols = aux[par, q][:, None] if table is None else table[q]
         at = start[par] + after[first[par]] - after[q]
@@ -328,16 +366,8 @@ def _tree(code, levels, order=None, s=0):
                 if table is not None and sub is not None:
                     sub[np.arange(len(take))[:, None], cols[take]] = True
                 yield from grow(mc, q[take], sub, d + 1, at[take])
-        # the False verdicts of dead prefixes fill the gaps, a gap of more
-        # than BLOCK in blocks of its own
-        cuts = ((at[1:] - at[:-1]) > BLOCK + 1).nonzero()[0] + 1
-        for a, b in zip([0, *cuts], [*cuts, len(at)]) \
-                if last and len(at) else ():
-            yield from _falses(int(at[a]) - done)
-            out = np.zeros(at[b - 1] + 1 - at[a], dtype=bool)
-            out[at[a:b] - at[a]] = verdicts[a:b]
-            done = int(at[b - 1]) + 1
-            yield out.tolist()
+        if last:
+            yield from emit(at, verdicts)
 
     h = np.zeros((1, rows, n + 1), dtype=np.uint8)  # column n stays 0
     h[0, :, :n] = code._H

@@ -1090,8 +1090,8 @@ class TestRankBound:
             next(verdicts)
             assert trees == [above[0] - 1]
             # and takes the kernel, unless one-symbol units of a size of
-            # one, which read their verdicts off the columns of _H
-            assert calls or above[0] == 2 and units == code.n
+            # one or two, which read their verdicts off the columns of _H
+            assert calls or above[0] <= 3 and units == code.n
 
     @pytest.mark.parametrize("name", sorted(builders.BUILDERS))
     def test_fractions_and_sets_match_per_pattern_rank_tests(self, name):
