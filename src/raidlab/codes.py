@@ -15,6 +15,9 @@ a size whose patterns all erase more symbols than rank(_H) needs no kernel
 call.  A single pattern is peeled on the row supports first; what is left,
 the peel residual, is looked up in the code's verdict memo and, on a miss,
 goes through `gf.eliminate` as a batch of one, once per residual and code.
+Repair planning, `_plans`, ranks every subset of each erasure mask's
+relevant equations, with the masks of one shape stacked into one batch, and
+takes each mask's fewest reads in numpy.
 """
 
 import math
@@ -29,8 +32,7 @@ from . import gf
 
 DEFAULT_BUDGET = 5_000_000  # rank tests per enumeration call, overridable
 # patterns per block where patterns are decided one by one (the local-global
-# decoder) or need no decision (sizes above the rank, dead prefixes), and
-# read sets per exact repair-plan call
+# decoder) or need no decision (sizes above the rank, dead prefixes)
 BLOCK = 256
 # stack cells (rows x columns x matrices) per kernel call of an enumeration,
 # a pivot step or an elimination, which bound its working set (a step makes
@@ -553,15 +555,81 @@ def repair_plan(code, erasures, granularity="symbol", exact_limit=1 << 16):
     Searches subsets of parity equations exactly when that is affordable,
     otherwise falls back to a greedy cover (flagged non-optimal).
     """
-    erased = _expand(code, erasures, granularity)
+    plan, = _plans(code, [_expand(code, erasures, granularity)], exact_limit)
+    if plan is None:
+        raise UnrecoverableError("pattern %r is not recoverable" % (erasures,))
+    return plan
+
+
+def _plans(code, masks, exact_limit):
+    """The repair plan of each erased symbol mask, or None where the mask is
+    unrecoverable.
+
+    A mask whose r relevant equations (those touching it) have at most
+    `exact_limit` subsets is planned exactly: the first subset, in ascending
+    subset-mask order, with the fewest reads among those whose rows have
+    rank |E| on the erased columns E.  Masks of one r and one |E| form a
+    group: H[relevant, E] times the 0/1 row selection of every subset, for
+    every mask of the group, is one stack, ranked in chunks of CELLS cells
+    of one shape (the last chunk padded).  A mask is recoverable iff its
+    full subset ranks |E|; none is, without a relevant equation.  Larger
+    masks take the greedy cover."""
+    h, support = code._H, code._support
+    plans, groups = [None] * len(masks), {}
+    for i, erased in enumerate(masks):
+        relevant = [j for j, r in enumerate(support) if r & erased]
+        if 2 ** len(relevant) > exact_limit:
+            plans[i] = _greedy_plan(code, erased, relevant)
+        elif relevant:
+            groups.setdefault((len(relevant), erased.bit_count()), []).append(
+                (i, relevant, _bits(erased), erased))
+    for (r, c), members in groups.items():
+        at, relevant, cols, erased = zip(*members)
+        rows = h[np.array(relevant)]  # (plans, r, n)
+        cols = np.array(cols)[:, None]
+        a = np.take_along_axis(rows, cols, 2).transpose(1, 2, 0)
+        read = rows != 0  # the reads of each row: its support less E
+        np.put_along_axis(read, cols, False, 2)
+        read = read.astype(np.float32)
+        # subset j + 1 selects row i iff bit i of j + 1 is set
+        sel = np.arange(1, 1 << r)[:, None] >> np.arange(r) & 1 == 1
+        # a chunk: `per` plans times `span` of their subsets, the last chunk
+        # padded with repeats of the last plan and subset
+        span = min(len(sel), max(1, CELLS // (r * c)))
+        per = min(len(at), max(1, CELLS // (r * c * len(sel))))
+        best = np.full((2, len(at)), code.n + 1)  # fewest reads, at subset
+        for p0, j0 in product(range(0, len(at), per),
+                              range(0, len(sel), span)):
+            p = np.minimum(np.arange(p0, p0 + per), len(at) - 1)
+            j = np.minimum(np.arange(j0, j0 + span), len(sel) - 1)
+            ranks = gf.eliminate(code.field, (a[:, :, p, None] * sel.T[
+                :, None, None, j]).reshape(r, c, -1), c).reshape(per, span)
+            # short of rank |E|: more reads than any plan
+            counts = np.where(ranks == c, np.count_nonzero(
+                np.matmul(sel[j], read[p]), axis=2), code.n + 1)
+            first = counts.argmin(axis=1)
+            low = counts[np.arange(per), first]
+            gain = low < best[0, p]  # ties keep the earlier subset
+            best[:, p[gain]] = low[gain], j[first[gain]]
+        for i, rel, mask, (count, j) in zip(at, relevant, erased,
+                                            best.T.tolist()):
+            if count <= code.n:
+                used = tuple(q for b, q in enumerate(rel) if j + 1 >> b & 1)
+                touched = 0
+                for q in used:
+                    touched |= support[q]
+                plans[i] = RepairPlan(_names(code, _bits(touched & ~mask)),
+                                      used, True)
+    return plans
+
+
+def _greedy_plan(code, erased, relevant):
+    """A greedy cover of the `erased` mask by its `relevant` equations: add
+    the equation that buys the most progress per new read, the first such in
+    row order; None if the mask is unrecoverable."""
     h, support = code._H, code._support
     if not _solvable(code.field, h, support, erased):
-        raise UnrecoverableError("pattern %r is not recoverable" % (erasures,))
-    relevant = [i for i, r in enumerate(support) if r & erased]
-    if 2 ** len(relevant) <= exact_limit:
-        return _exact_plan(code, erased, relevant)
-    # greedy: add the equation that buys the most progress per new read,
-    # the first such in row order
+        return None
     chosen, touched = [], 0
     while not _solvable(code.field, h[chosen], [support[i] for i in chosen],
                         erased):
@@ -574,32 +642,6 @@ def repair_plan(code, erasures, granularity="symbol", exact_limit=1 << 16):
         touched |= support[chosen[-1]]
     return RepairPlan(_names(code, _bits(touched & ~erased)), tuple(chosen),
                       False)
-
-
-def _exact_plan(code, erased, relevant):
-    """The first plan, in ascending subset-mask order, with the fewest reads
-    among the subsets of the `relevant` equations that determine `erased`:
-    H[relevant, E] times each subset's 0/1 row selection, BLOCK at a time."""
-    cols = _bits(erased)
-    h = code._H[relevant]
-    support = h != 0
-    support[:, cols] = False
-    mul, _ = code.field.tables
-    # read right to left, product counts the masks up from 0 (skipped)
-    subsets = islice(product((0, 1), repeat=len(relevant)), 1, None)
-    best = None
-    while block := list(islice(subsets, BLOCK)):
-        sel = np.array(block, dtype=np.uint8)[:, ::-1]
-        ranks = gf.eliminate(code.field,
-                             mul[h[:, cols, None], sel.T[:, None]], len(cols))
-        reads = (sel.view(bool)[:, :, None] & support).any(axis=1)
-        counts = reads.sum(axis=1).tolist()
-        for rank, count, r, chosen in zip(ranks.tolist(), counts, reads, sel):
-            if rank == len(cols) and (best is None or count < best[0]):
-                best = count, r, chosen
-    _, reads, chosen = best
-    return RepairPlan(_names(code, np.flatnonzero(reads)),
-                      tuple(i for i, c in zip(relevant, chosen) if c), True)
 
 
 def verify_plan(code, erasures, reads, granularity="symbol"):
@@ -618,25 +660,22 @@ def verify_plan(code, erasures, reads, granularity="symbol"):
 
 def repair_metrics(code, budget=DEFAULT_BUDGET):
     """Per-symbol repair costs: ARC, NRC, ADRC, DRC and pairwise ARC2."""
-    costs = {}
-    for s in code.symbols:
-        plan = repair_plan(code, [s])
-        costs[s] = plan.symbols_read
-    n = code.n
-    k = code.k
+    n, k, symbols = code.n, code.k, code.symbols
+    pairs = math.comb(n, 2)
+    if pairs > budget:
+        raise BudgetExceeded("ARC2 needs %d plans" % pairs)
+    singles = _plans(code, [1 << i for i in range(n)], 1 << 16)
+    if None in singles:
+        raise UnrecoverableError("pattern %r is not recoverable"
+                                 % ([symbols[singles.index(None)]],))
+    costs = {s: p.symbols_read for s, p in zip(symbols, singles)}
     arc = sum(costs.values()) / n
     adrc = sum(costs[s] for s in code.data_ids) / k
-    pair_total = 0
-    pairs = list(combinations(code.symbols, 2))
-    if len(pairs) > budget:
-        raise BudgetExceeded("ARC2 needs %d plans" % len(pairs))
-    arc2 = None
-    try:
-        for a, b in pairs:
-            pair_total += repair_plan(code, [a, b]).symbols_read
-        arc2 = pair_total / len(pairs)
-    except UnrecoverableError:
-        pass  # single-fault-tolerant codes have no two-erasure cost
+    doubles = _plans(code, [1 << a | 1 << b
+                            for a, b in combinations(range(n), 2)], 1 << 16)
+    # single-fault-tolerant codes have no two-erasure cost
+    arc2 = None if None in doubles else \
+        sum(p.symbols_read for p in doubles) / pairs
     return {
         "ARC": arc,
         "NRC": arc * n / k,
