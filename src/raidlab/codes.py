@@ -23,8 +23,7 @@ takes each mask's fewest reads in numpy.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import (accumulate, chain, combinations, compress, islice,
-                       product)
+from itertools import accumulate, chain, combinations, compress, islice
 
 import numpy as np
 
@@ -574,62 +573,50 @@ def _plans(code, masks, exact_limit):
     of one shape (the last chunk padded).  A mask is recoverable iff its
     full subset ranks |E|; none is, without a relevant equation.  Larger
     masks take the greedy cover."""
-    h, support = code._H, code._support
-    plans, groups = [None] * len(masks), {}
+    support, plans, groups = code._support, [None] * len(masks), {}
     for i, erased in enumerate(masks):
         relevant = [j for j, r in enumerate(support) if r & erased]
         if 2 ** len(relevant) > exact_limit:
             plans[i] = _greedy_plan(code, erased, relevant)
         elif relevant:
             groups.setdefault((len(relevant), erased.bit_count()), []).append(
-                (i, relevant, _bits(erased), erased))
+                (i, relevant, _bits(erased)))
     for (r, c), members in groups.items():
-        at, relevant, cols, erased = zip(*members)
-        rows = h[np.array(relevant)]  # (plans, r, n)
-        cols = np.array(cols)[:, None]
+        at, relevant, cols = zip(*members)
+        rows, cols = code._H[np.array(relevant)], np.array(cols)[:, None]
         a = np.take_along_axis(rows, cols, 2).transpose(1, 2, 0)
-        read = rows != 0  # the reads of each row: its support less E
+        # subset j is mask j + 1: it selects row i iff bit i is set, and it
+        # reads a symbol off E iff it selects a row that touches the symbol
+        subsets = np.arange(1, 1 << r, dtype=np.min_scalar_type(1 << r))
+        sel = (subsets[:, None] >> np.arange(r) & 1).astype(np.uint8)
+        read = rows != 0
         np.put_along_axis(read, cols, False, 2)
-        read = read.astype(np.float32)
-        # subset j + 1 selects row i iff bit i of j + 1 is set
-        sel = np.arange(1, 1 << r)[:, None] >> np.arange(r) & 1 == 1
-        # a chunk: `per` plans times `span` of their subsets, the last chunk
-        # padded with repeats of the last plan and subset
-        span = min(len(sel), max(1, CELLS // (r * c)))
-        per = min(len(at), max(1, CELLS // (r * c * len(sel))))
-        best = np.full((2, len(at)), code.n + 1)  # fewest reads, at subset
-        for p0, j0 in product(range(0, len(at), per),
-                              range(0, len(sel), span)):
-            p = np.minimum(np.arange(p0, p0 + per), len(at) - 1)
-            j = np.minimum(np.arange(j0, j0 + span), len(sel) - 1)
-            ranks = gf.eliminate(code.field, (a[:, :, p, None] * sel.T[
-                :, None, None, j]).reshape(r, c, -1), c).reshape(per, span)
-            # short of rank |E|: more reads than any plan
-            counts = np.where(ranks == c, np.count_nonzero(
-                np.matmul(sel[j], read[p]), axis=2), code.n + 1)
-            first = counts.argmin(axis=1)
-            low = counts[np.arange(per), first]
-            gain = low < best[0, p]  # ties keep the earlier subset
-            best[:, p[gain]] = low[gain], j[first[gain]]
-        for i, rel, mask, (count, j) in zip(at, relevant, erased,
-                                            best.T.tolist()):
-            if count <= code.n:
-                used = tuple(q for b, q in enumerate(rel) if j + 1 >> b & 1)
-                touched = 0
-                for q in used:
-                    touched |= support[q]
-                plans[i] = RepairPlan(_names(code, _bits(touched & ~mask)),
-                                      used, True)
+        touch = (read << np.arange(r)[:, None]).sum(1, dtype=subsets.dtype)
+        # the reads of every (plan, subset), or n + 1 short of rank |E|, in
+        # chunks along that axis, the last one padded from its start
+        total = len(at) * len(sel)
+        step = min(total, max(1, CELLS // (r * c)))
+        reads = np.empty(total + step, dtype=np.min_scalar_type(code.n + 1))
+        for lo in range(0, total, step):
+            p, j = np.divmod(np.arange(lo, lo + step) % total, len(sel))
+            ranks = gf.eliminate(code.field, a[:, :, p] * sel.T[:, None, j], c)
+            reads[lo:lo + step] = np.where(ranks == c, np.count_nonzero(
+                touch[p] & subsets[j, None], 1), code.n + 1)
+        reads = reads[:total].reshape(len(at), -1)
+        for g, j in enumerate(reads.argmin(1).tolist()):  # first of fewest
+            if reads[g, -1] <= code.n:
+                plans[at[g]] = RepairPlan(
+                    _names(code, np.flatnonzero(touch[g] & subsets[j])),
+                    tuple(compress(relevant[g], sel[j])), True)
     return plans
 
 
 def _greedy_plan(code, erased, relevant):
     """A greedy cover of the `erased` mask by its `relevant` equations: add
     the equation that buys the most progress per new read, the first such in
-    row order; None if the mask is unrecoverable."""
+    row order; None once every equation is in and the mask is still not
+    determined."""
     h, support = code._H, code._support
-    if not _solvable(code.field, h, support, erased):
-        return None
     chosen, touched = [], 0
     while not _solvable(code.field, h[chosen], [support[i] for i in chosen],
                         erased):
@@ -637,7 +624,7 @@ def _greedy_plan(code, erased, relevant):
                    -(support[i] & erased).bit_count(), i)
                   for i in relevant if i not in chosen]
         if not scored:
-            raise UnrecoverableError("greedy repair failed")
+            return None
         chosen.append(min(scored)[2])
         touched |= support[chosen[-1]]
     return RepairPlan(_names(code, _bits(touched & ~erased)), tuple(chosen),
@@ -666,8 +653,7 @@ def repair_metrics(code, budget=DEFAULT_BUDGET):
         raise BudgetExceeded("ARC2 needs %d plans" % pairs)
     singles = _plans(code, [1 << i for i in range(n)], 1 << 16)
     if None in singles:
-        raise UnrecoverableError("pattern %r is not recoverable"
-                                 % ([symbols[singles.index(None)]],))
+        raise UnrecoverableError("a single erasure is not recoverable")
     costs = {s: p.symbols_read for s, p in zip(symbols, singles)}
     arc = sum(costs.values()) / n
     adrc = sum(costs[s] for s in code.data_ids) / k
