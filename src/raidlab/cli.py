@@ -3,6 +3,9 @@ simulations or enumerations, and emit machine-readable reports.
 
 Exit codes: 0 success, 2 schema violation, 3 domain error, 4 enumeration
 budget exceeded.  The seed defaults to --seed, then RAIDLAB_SEED, then 0.
+
+Each command imports only the layers it runs, so a closed form does not pay
+for numpy and a layout check does not pay for the code enumerator.
 """
 
 import argparse
@@ -11,18 +14,9 @@ import os
 import sys
 import time
 
-from . import codes, declustering, reliability as rel
-from . import ctmc as ctmcmod
-from . import disk as diskmod
-from . import queueing as qmod
-from . import rebuild as rbmod
-from . import sim as simmod
-from .codes import BudgetExceeded
 from .config import (DomainError, Report, SchemaError, code_from_config,
                      copyset_from_config, emit, load_preset, load_scenario,
                      profile_from_config, workload_from_config)
-from .queueing import SaturationError
-from .reliability import LseParams, ReliabilityParams, PlacementParams
 
 
 def _seed(args, scenario):
@@ -44,6 +38,7 @@ def _scenario(args):
 
 
 def _lse_from_config(cfg):
+    from .reliability import LseParams
     kw = dict(cfg)
     if "capacity_gib" in kw:
         kw["capacity_bytes"] = kw.pop("capacity_gib") * 2 ** 30
@@ -63,6 +58,7 @@ def _need(cfg, key, where):
 
 
 def _params_from_config(cfg):
+    from .reliability import ReliabilityParams
     try:
         return ReliabilityParams(
             disks=_need(cfg, "disks", "reliability"),
@@ -83,6 +79,7 @@ def cmd_analyze(args):
     report = Report(scenario=scenario, command="analyze %s" % args.what,
                     seed=_seed(args, scenario))
     if args.what == "queueing":
+        from . import disk as diskmod, queueing as qmod
         profile = profile_from_config(scenario.get("profile"))
         workload = workload_from_config(_need(scenario, "workload",
                                               "scenario"))
@@ -98,6 +95,7 @@ def cmd_analyze(args):
                    qmod.response_cv(workload.arrival_rate, svc), "",
                    provenance="response-moments")
     elif args.what == "rebuild":
+        from . import rebuild as rbmod
         profile = profile_from_config(scenario.get("profile"))
         workload = workload_from_config(_need(scenario, "workload",
                                               "scenario"))
@@ -117,12 +115,14 @@ def cmd_analyze(args):
                                             workload.read_fraction)
         report.add("degraded_load_increase", incr, "")
     elif args.what == "mttdl":
+        from . import reliability as rel
         rcfg = _need(scenario, "reliability", "scenario")
         model = rcfg.get("model", "raid5")
         if model == "raid5":
             params = _params_from_config(rcfg)
             _, mttdl, _ = rel.raid5_closed_form(params)
             report.add("mttdl", mttdl, "hours", provenance="closed-form")
+            from . import ctmc as ctmcmod
             chain = rel.raid5_chain(params)
             total, _, _ = ctmcmod.mean_time_to_absorption(chain)
             report.add("mttdl_ctmc", total, "hours", provenance="ctmc-solve")
@@ -136,6 +136,7 @@ def cmd_analyze(args):
         else:
             raise DomainError("unknown mttdl model %r" % (model,))
     elif args.what == "lse":
+        from . import reliability as rel
         rcfg = _need(scenario, "reliability", "scenario")
         lse = _lse_from_config(_need(rcfg, "lse", "reliability"))
         params = _params_from_config(rcfg)
@@ -149,10 +150,11 @@ def cmd_analyze(args):
                                                error_model),
                    "hours", provenance="lse-closed-form")
     elif args.what == "placement":
+        from . import reliability as rel
         pcfg = _need(_need(scenario, "reliability", "scenario"), "placement",
                      "reliability")
         try:
-            params = PlacementParams(**pcfg)
+            params = rel.PlacementParams(**pcfg)
         except (TypeError, ValueError) as err:
             raise DomainError(str(err))
         for placement in ("cp", "dp"):
@@ -162,6 +164,7 @@ def cmd_analyze(args):
             report.add("eafdl_%s" % placement, rate, "1/year-fraction",
                        provenance="placement-closed-form")
     elif args.what == "ctmc":
+        from . import ctmc as ctmcmod
         ccfg = _need(scenario, "ctmc", "scenario")
         chain = ctmcmod.build_ctmc(
             [(a, b, float(r)) for a, b, r in ccfg["transitions"]],
@@ -185,6 +188,7 @@ def cmd_analyze(args):
 
 
 def cmd_code(args):
+    from . import codes
     scenario = _scenario(args)
     if args.builder:
         params = {}
@@ -240,6 +244,7 @@ def cmd_code(args):
 
 
 def _layout_from_config(lcfg):
+    from . import declustering
     kind = lcfg["kind"]
     if kind == "bibd-10-4":
         return declustering.bibd_10_4_2()
@@ -255,6 +260,7 @@ def _layout_from_config(lcfg):
 
 
 def cmd_layout(args):
+    from . import declustering
     scenario = _scenario(args)
     if args.kind:
         scenario = dict(scenario)
@@ -306,6 +312,7 @@ def cmd_layout(args):
 
 
 def cmd_sim(args):
+    from . import sim as simmod
     scenario = _scenario(args)
     seed = _seed(args, scenario)
     report = Report(scenario=scenario, command="sim %s" % args.what, seed=seed)
@@ -328,6 +335,7 @@ def cmd_sim(args):
         scfg["seed"] = seed
         kind = scfg.pop("kind", "hraid")
         if kind == "resch-table":
+            from . import reliability as rel
             # one row per (disks, data) configuration of the validation table
             rows = [(10, 10, 2000.0), (10, 9, 2000.0), (10, 8, 1500.0),
                     (10, 7, 500.0), (10, 6, 150.0)]
@@ -395,6 +403,7 @@ def cmd_sim(args):
 
 
 def cmd_compare(args):
+    from . import reliability as rel
     scenario = {"version": "1"}
     report = Report(scenario=scenario, command="compare shortcut",
                     seed=_seed(args, scenario))
@@ -479,6 +488,13 @@ def build_parser():
     return parser
 
 
+def _raised(layer, name):
+    """The exception class raidlab.<layer>.<name> as a one-tuple, or () if
+    the command never imported that layer and so cannot have raised it."""
+    mod = sys.modules.get("raidlab." + layer)
+    return () if mod is None else (getattr(mod, name),)
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -490,11 +506,12 @@ def main(argv=None):
         print(json.dumps({"error": "schema", "detail": str(err)}),
               file=sys.stderr)
         return 2
-    except BudgetExceeded as err:
+    except _raised("codes", "BudgetExceeded") as err:
         print(json.dumps({"error": "budget", "detail": str(err)}),
               file=sys.stderr)
         return 4
-    except (DomainError, SaturationError, ValueError) as err:
+    except (DomainError, ValueError) + _raised("queueing",
+                                              "SaturationError") as err:
         print(json.dumps({"error": "domain", "detail": str(err)}),
               file=sys.stderr)
         return 3

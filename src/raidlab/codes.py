@@ -571,13 +571,15 @@ def _plans(code, masks, exact_limit):
     group: H[relevant, E] times the 0/1 row selection of every subset, for
     every mask of the group, is one stack, ranked in chunks of CELLS cells
     of one shape (the last chunk padded).  A mask is recoverable iff its
-    full subset ranks |E|; none is, without a relevant equation.  Larger
-    masks take the greedy cover."""
+    full subset ranks |E|; none is, without a relevant equation, unless E
+    is empty and needs no repair.  Larger masks take the greedy cover."""
     support, plans, groups = code._support, [None] * len(masks), {}
     for i, erased in enumerate(masks):
         relevant = [j for j, r in enumerate(support) if r & erased]
         if 2 ** len(relevant) > exact_limit:
             plans[i] = _greedy_plan(code, erased, relevant)
+        elif not erased:  # nothing to repair: no reads, no equations
+            plans[i] = RepairPlan((), (), True)
         elif relevant:
             groups.setdefault((len(relevant), erased.bit_count()), []).append(
                 (i, relevant, _bits(erased)))

@@ -5,6 +5,9 @@ disk profiles, workloads, code references, layouts, reliability parameters,
 simulation settings and output requests.  The schema ships as
 raidlab/scenario.schema.json; fixtures ship as data files under
 raidlab/fixtures and are addressable as presets.
+
+Loading, validation and reports need no numpy: each ``*_from_config``
+imports the layer it builds from when it is called.
 """
 
 import csv
@@ -13,11 +16,6 @@ import io
 import json
 from dataclasses import dataclass, field
 from importlib import resources
-
-from . import builders
-from .disk import DiskProfile, cheetah_15k5
-from .queueing import WorkloadSpec
-from .declustering import CopysetScheme
 
 TOOL_VERSION = "0.1.0"
 
@@ -70,6 +68,7 @@ def load_preset(name):
 
 
 def profile_from_config(cfg):
+    from .disk import DiskProfile, cheetah_15k5
     if cfg is None or cfg.get("preset") == "cheetah":
         return cheetah_15k5()
     if "preset" in cfg:
@@ -86,6 +85,7 @@ def profile_from_config(cfg):
 
 
 def workload_from_config(cfg):
+    from .queueing import WorkloadSpec
     try:
         return WorkloadSpec(**cfg)
     except (TypeError, ValueError) as err:
@@ -93,7 +93,7 @@ def workload_from_config(cfg):
 
 
 def code_from_config(cfg):
-    from . import codes
+    from . import builders, codes
     if "inline" in cfg:
         try:
             return codes.from_json(cfg["inline"])
@@ -108,6 +108,7 @@ def code_from_config(cfg):
 
 
 def copyset_from_config(cfg):
+    from .declustering import CopysetScheme
     kw = {k: v for k, v in cfg.items()
           if k in ("nodes", "replication", "scatter_width", "scheme")}
     try:

@@ -8,7 +8,8 @@ Rates are per hour throughout (delta = 1/MTTF, mu = 1/MTTR).
 import math
 from dataclasses import dataclass
 
-from . import ctmc as ctmcmod
+# The chain functions import ctmc, and with it numpy, where they build or
+# solve a chain, so the closed forms load neither.
 
 
 def falling_factorial(n, k):
@@ -102,7 +103,8 @@ def raid5_chain(params):
         ("degraded", "ok", mu),
         ("degraded", "failed", n * delta),
     ]
-    return ctmcmod.build_ctmc(edges, absorbing=["failed"], initial={"ok": 1.0})
+    from . import ctmc
+    return ctmc.build_ctmc(edges, absorbing=["failed"], initial={"ok": 1.0})
 
 
 def chen_mttdl(n, k, mttf, mttr):
@@ -135,7 +137,8 @@ def birth_death_chain(s, r, lam, rho_repair):
         edges.append((i, i + 1, (s - i) * lam))
         if i > 0:
             edges.append((i, i - 1, rho_repair))
-    return ctmcmod.build_ctmc(edges, absorbing=[limit], initial={0: 1.0})
+    from . import ctmc
+    return ctmc.build_ctmc(edges, absorbing=[limit], initial={0: 1.0})
 
 
 def birth_death_mttdl(s, r, lam, rho_repair):
@@ -143,7 +146,8 @@ def birth_death_mttdl(s, r, lam, rho_repair):
 
     Approximation: rho^{s-r} / (lam^{s-r+1} * s(s-1)...(r)).
     """
-    total, _, _ = ctmcmod.mean_time_to_absorption(birth_death_chain(s, r, lam, rho_repair))
+    from . import ctmc
+    total, _, _ = ctmc.mean_time_to_absorption(birth_death_chain(s, r, lam, rho_repair))
     m = s - r
     approx = rho_repair ** m / (lam ** (m + 1) * falling_factorial(s, m + 1))
     return total, approx
@@ -381,7 +385,8 @@ def mttdl_with_lse(level, params, lse, scheme, model="independent"):
                 / (n * delta * ((n - 1) * delta + mu * puf1)))
     if level == "raid6":
         chain = raid6_lse_chain(params, lse, p_seg)
-        total, _, _ = ctmcmod.mean_time_to_absorption(chain)
+        from . import ctmc
+        total, _, _ = ctmc.mean_time_to_absorption(chain)
         return total
     raise ValueError("level must be 'raid5' or 'raid6'")
 
@@ -398,7 +403,8 @@ def raid5_lse_chain(params, lse, p_seg):
         ("degraded", "uf", mu * puf1),
         ("degraded", "df", (n - 1) * delta),
     ]
-    return ctmcmod.build_ctmc(edges, absorbing=["uf", "df"], initial={"ok": 1.0})
+    from . import ctmc
+    return ctmc.build_ctmc(edges, absorbing=["uf", "df"], initial={"ok": 1.0})
 
 
 def raid6_lse_chain(params, lse, p_seg, mu2=None):
@@ -421,7 +427,8 @@ def raid6_lse_chain(params, lse, p_seg, mu2=None):
         ("deg2", "uf", mu2 * puf2),
         ("deg2", "df", (n - 2) * delta),
     ]
-    return ctmcmod.build_ctmc(edges, absorbing=["uf", "df"], initial={"ok": 1.0})
+    from . import ctmc
+    return ctmc.build_ctmc(edges, absorbing=["uf", "df"], initial={"ok": 1.0})
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +616,8 @@ def tmr_chain(delta, variant="tmr"):
         edges = [(3, 1, 3 * delta), (1, "failed", delta)]
     else:
         raise ValueError("variant must be 'tmr' or 'tmr_simplex'")
-    return ctmcmod.build_ctmc(edges, absorbing=["failed"], initial={3: 1.0})
+    from . import ctmc
+    return ctmc.build_ctmc(edges, absorbing=["failed"], initial={3: 1.0})
 
 
 def duplex_coverage_chain(delta, mu, coverage):
@@ -620,7 +628,8 @@ def duplex_coverage_chain(delta, mu, coverage):
         (1, 0, mu),
         (1, "failed", delta),
     ]
-    return ctmcmod.build_ctmc(edges, absorbing=["failed"], initial={0: 1.0})
+    from . import ctmc
+    return ctmc.build_ctmc(edges, absorbing=["failed"], initial={0: 1.0})
 
 
 # ---------------------------------------------------------------------------

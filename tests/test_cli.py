@@ -79,14 +79,35 @@ print(json.dumps([code, after_import, loaded()]))
 """
 
 
-def heavy_modules(args, tmp_path):
+# Runs a CLI command in a fresh interpreter and prints its exit code and
+# every module loaded after it.
+LOADED_PROBE = """
+import json, sys
+from raidlab.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
+def fresh(argv, tmp_path, check=True):
+    """Run `python ARGV` on this checkout's raidlab in tmp_path, without
+    RAIDLAB_SEED; the finished process."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(raidlab.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     env.pop("RAIDLAB_SEED", None)
-    out = subprocess.run([sys.executable, "-c", HEAVY_PROBE] + args,
-                         cwd=tmp_path, env=env, capture_output=True,
-                         text=True, check=True).stdout
+    return subprocess.run([sys.executable] + argv, cwd=tmp_path, env=env,
+                          capture_output=True, text=True, check=check)
+
+
+def probe(source, args, tmp_path):
+    """The JSON that `source` prints last, run with `args` in a fresh
+    interpreter."""
+    out = fresh(["-c", source] + args, tmp_path).stdout
     return json.loads(out.splitlines()[-1])
+
+
+def heavy_modules(args, tmp_path):
+    return probe(HEAVY_PROBE, args, tmp_path)
 
 
 class TestImportHygiene:
@@ -105,6 +126,30 @@ class TestImportHygiene:
         assert code == 0
         assert after_import == []
         assert "scipy.stats" not in after_run
+
+    def test_import_raidlab_loads_no_layer(self, tmp_path):
+        loaded = probe("import json, sys, raidlab\n"
+                       "print(json.dumps(sorted(sys.modules)))", [], tmp_path)
+        assert [m for m in loaded if m.startswith("raidlab.")] == []
+        assert "numpy" not in loaded
+
+    @pytest.mark.parametrize("args,absent", [
+        (["compare", "shortcut", "--N", "8", "--eps", "0.025"],
+         ["numpy", "raidlab.ctmc"]),
+        (["analyze", "mttdl", "--config", "chen.json"], ["numpy"]),
+        (["layout", "verify", "--kind", "bibd-10-4"],
+         ["raidlab.codes", "raidlab.gf", "raidlab.sim", "raidlab.ctmc"]),
+        (["code", "check", "--builder", "rdp", "--param", "p=5"],
+         ["raidlab.sim", "raidlab.ctmc", "raidlab.reliability"]),
+    ], ids=["compare-shortcut", "analyze-mttdl-chen", "layout-verify-bibd",
+            "code-check-rdp"])
+    def test_command_loads_only_its_layers(self, tmp_path, args, absent):
+        (tmp_path / "chen.json").write_text(json.dumps({
+            "version": "1", "reliability": {"model": "chen", "disks": 8,
+                                            "data": 7, "mttf_hours": 1e5}}))
+        code, loaded = probe(LOADED_PROBE, args + ["--out", "r"], tmp_path)
+        assert code == 0
+        assert [m for m in absent if m in loaded] == []
 
 
 class TestCommands:
@@ -205,6 +250,26 @@ class TestReplayAndExitCodes:
                         "--param", "n=13", "--erasures", "all-quads",
                         "--granularity", "symbol"], tmp_path)
         assert code == 4
+
+    @pytest.mark.parametrize("doc,args,want,error", [
+        ({"version": "1", "nonsense": 1}, ["analyze", "queueing"], 2,
+         "schema"),
+        ({"version": "1", "workload": {"arrival_rate": 100000.0}},
+         ["analyze", "queueing"], 3, "domain"),
+        ({"version": "1"}, ["code", "check", "--builder", "xcode", "--param",
+                            "n=13", "--erasures", "all-quads",
+                            "--granularity", "symbol"], 4, "budget"),
+    ], ids=["schema-2", "saturated-3", "budget-4"])
+    def test_exit_codes_of_a_fresh_module_run(self, tmp_path, doc, args,
+                                              want, error):
+        # in-process, every layer is already loaded; a fresh `python -m
+        # raidlab.cli` maps the errors of the layers the command loaded
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        proc = fresh(["-m", "raidlab.cli"] + args + ["--config", "cfg.json"],
+                     tmp_path, check=False)
+        assert proc.returncode == want, proc.stderr
+        assert json.loads(proc.stderr.splitlines()[-1])["error"] == error
+        assert not (tmp_path / "report.json").exists()
 
     def test_unknown_erasure_unit_exit_3(self, tmp_path, capsys):
         cfg = tmp_path / "unknown.json"

@@ -183,6 +183,20 @@ def test_symbol_no_equation_touches_is_unrecoverable():
         repair_metrics(code)
 
 
+def test_empty_erasure_needs_no_reads():
+    # nothing erased is recoverable with no reads, as is_recoverable and
+    # verify_plan say; exactly, or greedily at an exact_limit of 0
+    code = builders.raid5(4)
+    assert codes.is_recoverable(code, [])
+    assert codes.verify_plan(code, [], ())
+    assert repair_plan(code, []) == codes.RepairPlan((), (), True)
+    assert codes._plans(code, [0, 1, 0], 1 << 16) == [
+        codes.RepairPlan((), (), True), repair_plan(code, ["d1"]),
+        codes.RepairPlan((), (), True)]
+    assert repair_plan(code, [], exact_limit=0) == \
+        codes.RepairPlan((), (), False)
+
+
 @pytest.mark.parametrize("make", [
     lambda: builders.raid5(6), lambda: builders.mirrored_org("cd", 6),
 ], ids=["raid5", "mirrored_cd6"])
