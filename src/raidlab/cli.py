@@ -16,7 +16,8 @@ import time
 
 from .config import (DomainError, Report, SchemaError, code_from_config,
                      copyset_from_config, emit, load_preset, load_scenario,
-                     profile_from_config, workload_from_config)
+                     model_from_config, profile_from_config,
+                     workload_from_config)
 
 
 def _seed(args, scenario):
@@ -37,17 +38,6 @@ def _scenario(args):
     return {"version": "1"}
 
 
-def _lse_from_config(cfg):
-    from .reliability import LseParams
-    kw = dict(cfg)
-    if "capacity_gib" in kw:
-        kw["capacity_bytes"] = kw.pop("capacity_gib") * 2 ** 30
-    try:
-        return LseParams(**kw)
-    except (TypeError, ValueError) as err:
-        raise DomainError(str(err))
-
-
 def _need(cfg, key, where):
     """cfg[key]; a key the schema allows to be missing is a domain error
     that names it."""
@@ -59,15 +49,12 @@ def _need(cfg, key, where):
 
 def _params_from_config(cfg):
     from .reliability import ReliabilityParams
-    try:
-        return ReliabilityParams(
-            disks=_need(cfg, "disks", "reliability"),
-            delta=1.0 / _need(cfg, "mttf_hours", "reliability"),
-            mu=(1.0 / cfg["mttr_hours"]) if cfg.get("mttr_hours") else 0.0,
-            group=cfg.get("group"),
-        )
-    except (TypeError, ValueError) as err:
-        raise DomainError(str(err))
+    return model_from_config(ReliabilityParams, dict(
+        disks=_need(cfg, "disks", "reliability"),
+        delta=1.0 / _need(cfg, "mttf_hours", "reliability"),
+        mu=(1.0 / cfg["mttr_hours"]) if cfg.get("mttr_hours") else 0.0,
+        group=cfg.get("group"),
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -78,11 +65,12 @@ def cmd_analyze(args):
     scenario = _scenario(args)
     report = Report(scenario=scenario, command="analyze %s" % args.what,
                     seed=_seed(args, scenario))
-    if args.what == "queueing":
-        from . import disk as diskmod, queueing as qmod
+    if args.what in ("queueing", "rebuild"):
         profile = profile_from_config(scenario.get("profile"))
         workload = workload_from_config(_need(scenario, "workload",
                                               "scenario"))
+    if args.what == "queueing":
+        from . import disk as diskmod, queueing as qmod
         svc = diskmod.service_time_moments(profile, workload.request_sectors)
         report.add("service_mean", svc.m1, "ms", provenance="seek+latency+transfer")
         report.add("service_cv2", svc.cv2, "", provenance="moments")
@@ -96,10 +84,8 @@ def cmd_analyze(args):
                    provenance="response-moments")
     elif args.what == "rebuild":
         from . import rebuild as rbmod
-        profile = profile_from_config(scenario.get("profile"))
-        workload = workload_from_config(_need(scenario, "workload",
-                                              "scenario"))
-        cfg = rbmod.RebuildConfig(**scenario.get("rebuild", {}))
+        cfg = model_from_config(rbmod.RebuildConfig,
+                                scenario.get("rebuild", {}))
         t_staged = rbmod.rebuild_time_vsm(profile, workload, cfg)
         report.add("rebuild_time_staged", t_staged / 3.6e6, "hours",
                    provenance="vacationing-server")
@@ -127,18 +113,22 @@ def cmd_analyze(args):
             total, _, _ = ctmcmod.mean_time_to_absorption(chain)
             report.add("mttdl_ctmc", total, "hours", provenance="ctmc-solve")
         elif model in ("chen", "angus"):
-            val = rel.mttdl_closed_form(
-                model, n=_need(rcfg, "disks", "reliability"),
-                k=_need(rcfg, "data", "reliability"),
-                mttf=_need(rcfg, "mttf_hours", "reliability"),
-                mttr=rcfg.get("mttr_hours", 1.0))
+            n = _need(rcfg, "disks", "reliability")
+            k = _need(rcfg, "data", "reliability")
+            mttf = _need(rcfg, "mttf_hours", "reliability")
+            mttr = rcfg.get("mttr_hours", 1.0)
+            val = (rel.chen_mttdl(n, n - k, mttf, mttr) if model == "chen"
+                   else rel.angus_mttdl(n, k, mttf, mttr))
             report.add("mttdl", val, "hours", provenance=model)
         else:
             raise DomainError("unknown mttdl model %r" % (model,))
     elif args.what == "lse":
         from . import reliability as rel
         rcfg = _need(scenario, "reliability", "scenario")
-        lse = _lse_from_config(_need(rcfg, "lse", "reliability"))
+        kw = dict(_need(rcfg, "lse", "reliability"))
+        if "capacity_gib" in kw:
+            kw["capacity_bytes"] = kw.pop("capacity_gib") * 2 ** 30
+        lse = model_from_config(rel.LseParams, kw)
         params = _params_from_config(rcfg)
         scheme = rcfg.get("scheme", "none")
         error_model = rcfg.get("error_model", "independent")
@@ -153,10 +143,7 @@ def cmd_analyze(args):
         from . import reliability as rel
         pcfg = _need(_need(scenario, "reliability", "scenario"), "placement",
                      "reliability")
-        try:
-            params = rel.PlacementParams(**pcfg)
-        except (TypeError, ValueError) as err:
-            raise DomainError(str(err))
+        params = model_from_config(rel.PlacementParams, pcfg)
         for placement in ("cp", "dp"):
             mttdl, rate, _ = rel.eafdl(params, placement)
             report.add("mttdl_%s" % placement, mttdl, "hours",

@@ -760,28 +760,25 @@ def to_json(code):
                    {str(s): code.row_map[s] for s in code.row_map},
         "group_map": None if code.group_map is None else
                      {str(s): code.group_map[s] for s in code.group_map},
+        "base_view": code.base_view,
     }
 
 
 def from_json(doc):
     """Rebuild a CodeSpec from its JSON form (symbol ids become strings)."""
-    field = gf.Field(doc["field_bits"])
-    data_ids = tuple(doc["data_ids"])
-    check_ids = tuple(doc["check_ids"])
-    equations = tuple(
-        (cid, tuple((s, int(c)) for s, c in terms))
-        for cid, terms in doc["equations"])
-    extra = tuple(tuple((s, int(c)) for s, c in terms)
-                  for terms in doc.get("extra_equations", []))
+    def terms(pairs):
+        return tuple((s, int(c)) for s, c in pairs)
+
     return CodeSpec(
         name=doc.get("name", "inline"),
-        field=field,
-        data_ids=data_ids,
-        check_ids=check_ids,
-        equations=equations,
-        extra_equations=extra,
+        field=gf.Field(doc["field_bits"]),
+        data_ids=tuple(doc["data_ids"]),
+        check_ids=tuple(doc["check_ids"]),
+        equations=tuple((cid, terms(t)) for cid, t in doc["equations"]),
+        extra_equations=tuple(map(terms, doc.get("extra_equations", []))),
         column_map=dict(doc["column_map"]),
         row_map=doc.get("row_map"),
         group_map=doc.get("group_map"),
+        base_view=doc.get("base_view"),
     )
 

@@ -1,10 +1,10 @@
 """Scenario configuration loading, validation, and report emission.
 
 One self-describing JSON schema covers everything the command line runs:
-disk profiles, workloads, code references, layouts, reliability parameters,
-simulation settings and output requests.  The schema ships as
-raidlab/scenario.schema.json; fixtures ship as data files under
-raidlab/fixtures and are addressable as presets.
+disk profiles, workloads, code references, layouts, reliability parameters
+and simulation settings.  The schema ships as raidlab/scenario.schema.json;
+fixtures ship as data files under raidlab/fixtures and are addressable as
+presets.  Report formats and paths come from the command line alone.
 
 Loading, validation and reports need no numpy: each ``*_from_config``
 imports the layer it builds from when it is called.
@@ -67,6 +67,15 @@ def load_preset(name):
     return validate_scenario(json.loads(ref.read_text()))
 
 
+def model_from_config(cls, kw):
+    """cls(**kw) from a scenario section: a key the model lacks (TypeError)
+    or a value outside its domain (ValueError) is a DomainError."""
+    try:
+        return cls(**kw)
+    except (TypeError, ValueError) as err:
+        raise DomainError(str(err))
+
+
 def profile_from_config(cfg):
     from .disk import DiskProfile, cheetah_15k5
     if cfg is None or cfg.get("preset") == "cheetah":
@@ -74,22 +83,19 @@ def profile_from_config(cfg):
     if "preset" in cfg:
         raise DomainError("unknown profile preset %r" % (cfg["preset"],))
     kw = dict(cfg)
-    kw["rotation_time"] = kw.pop("rotation_time_ms")
-    kw["seek_char"] = tuple(kw["seek_char"])
+    try:
+        kw["rotation_time"] = kw.pop("rotation_time_ms")
+        kw["seek_char"] = tuple(kw["seek_char"])
+    except KeyError as err:  # optional in the schema, for a preset section
+        raise DomainError("profile needs %s" % err) from None
     if "zones" in kw:
         kw["zones"] = tuple(tuple(z) for z in kw["zones"])
-    try:
-        return DiskProfile(**kw)
-    except (TypeError, ValueError) as err:
-        raise DomainError(str(err))
+    return model_from_config(DiskProfile, kw)
 
 
 def workload_from_config(cfg):
     from .queueing import WorkloadSpec
-    try:
-        return WorkloadSpec(**cfg)
-    except (TypeError, ValueError) as err:
-        raise DomainError(str(err))
+    return model_from_config(WorkloadSpec, cfg)
 
 
 def code_from_config(cfg):
@@ -111,10 +117,7 @@ def copyset_from_config(cfg):
     from .declustering import CopysetScheme
     kw = {k: v for k, v in cfg.items()
           if k in ("nodes", "replication", "scatter_width", "scheme")}
-    try:
-        return CopysetScheme(**kw)
-    except (TypeError, ValueError) as err:
-        raise DomainError(str(err))
+    return model_from_config(CopysetScheme, kw)
 
 
 @dataclass

@@ -201,8 +201,13 @@ def nrp_layout(n, g, rows=None, seed=0, perms=None, parity_position="last"):
         for r in range(start, start + k):
             for j in range(n):
                 assignment[r][perm[j]] = base[r][j]
-    layout = LayoutMap(disks=n, group_size=g, rows=rows,
-                       assignment=assignment, name="nrp(%d,%d)" % (n, g))
+    return _distinct_disks(LayoutMap(disks=n, group_size=g, rows=rows,
+                                     assignment=assignment,
+                                     name="nrp(%d,%d)" % (n, g)))
+
+
+def _distinct_disks(layout):
+    """The layout, after checking that no group lands twice on a disk."""
     bad = layout.distinct_disk_violations()
     if bad:
         raise AssertionError("groups %r land twice on a disk" % (bad,))
@@ -235,12 +240,9 @@ def shifted_layout(n, g, periods=1, parity_position=None):
                 src = (idx + shift) % (k_rows * n)
                 sr, sj = divmod(src, n)
                 assignment[r][j] = base[seg * k_rows + sr][sj]
-    layout = LayoutMap(disks=n, group_size=g, rows=rows,
-                       assignment=assignment, name="shifted(%d,%d)" % (n, g))
-    bad = layout.distinct_disk_violations()
-    if bad:
-        raise AssertionError("groups %r land twice on a disk" % (bad,))
-    return layout
+    return _distinct_disks(LayoutMap(disks=n, group_size=g, rows=rows,
+                                     assignment=assignment,
+                                     name="shifted(%d,%d)" % (n, g)))
 
 
 def parity_columns(layout):
@@ -377,34 +379,33 @@ def copysets(scheme):
         rng = np.random.default_rng(scheme.seed)
         perms = []
         for attempt in range(10_000):
-            cand = list(rng.permutation(n))
-            partners = {i: set() for i in range(n)}
-            trial = perms + [cand]
-            ok = True
-            for perm in trial:
-                for start in range(0, n, r):
-                    group = perm[start:start + r]
-                    for i in group:
-                        others = set(group) - {i}
-                        if partners[i] & others:
-                            ok = False
-                            break
-                        partners[i] |= others
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if ok:
-                perms.append(cand)
+            trial = perms + [list(rng.permutation(n))]
+            # partners stay disjoint across permutations iff each node has
+            # r - 1 new ones per permutation
+            if all(len(others) == (r - 1) * len(trial)
+                   for others in _partners(n, _chopped(trial, n, r))):
+                perms = trial
                 if len(perms) == p:
                     break
         if len(perms) != p:
             raise RuntimeError("could not draw disjoint permutations")
-    out = set()
-    for perm in perms:
-        for start in range(0, n, r):
-            out.add(frozenset(perm[start:start + r]))
-    return out
+    return set(map(frozenset, _chopped(perms, n, r)))
+
+
+def _chopped(perms, n, r):
+    """Each permutation of the n nodes cut into consecutive R-sets."""
+    return [perm[start:start + r] for perm in perms
+            for start in range(0, n, r)]
+
+
+def _partners(n, groups):
+    """Each of the n nodes' partners: the other members of its groups."""
+    partners = [set() for _ in range(n)]
+    for group in groups:
+        for i in group:
+            partners[i].update(group)
+            partners[i].discard(i)
+    return partners
 
 
 def copyset_pdl(scheme, failed=None):
@@ -424,8 +425,5 @@ def copyset_pdl(scheme, failed=None):
 
 def scatter_widths(scheme):
     """Observed per-node scatter width of the scheme's copysets."""
-    partners = {i: set() for i in range(scheme.nodes)}
-    for cs in copysets(scheme):
-        for i in cs:
-            partners[i] |= cs - {i}
-    return [len(partners[i]) for i in range(scheme.nodes)]
+    return [len(others)
+            for others in _partners(scheme.nodes, copysets(scheme))]

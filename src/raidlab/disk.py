@@ -43,7 +43,14 @@ class MomentSet:
         return MomentSet(value, value ** 2, value ** 3)
 
 
-class DiscreteDist:
+class _RawMoments:
+    """The first three raw moments of a distribution from its moment(i)."""
+
+    def moments(self):
+        return MomentSet(self.moment(1), self.moment(2), self.moment(3))
+
+
+class DiscreteDist(_RawMoments):
     """Finite distribution over nonnegative values (durations or distances)."""
 
     def __init__(self, values, probs=None):
@@ -72,9 +79,6 @@ class DiscreteDist:
     def mean(self):
         return self.moment(1)
 
-    def moments(self):
-        return MomentSet(self.moment(1), self.moment(2), self.moment(3))
-
     def shift(self, delta):
         """Distribution of X + delta for deterministic delta >= 0."""
         return DiscreteDist(self.values + delta, self.probs)
@@ -88,7 +92,7 @@ class DiscreteDist:
 
 
 @dataclass
-class Uniform:
+class Uniform(_RawMoments):
     """Uniform(0, width) duration, used for rotational latency."""
 
     width: float
@@ -96,19 +100,13 @@ class Uniform:
     def moment(self, i):
         return self.width ** i / (i + 1)
 
-    def moments(self):
-        return MomentSet(self.moment(1), self.moment(2), self.moment(3))
-
 
 @dataclass
-class Deterministic:
+class Deterministic(_RawMoments):
     value: float
 
     def moment(self, i):
         return self.value ** i
-
-    def moments(self):
-        return MomentSet.deterministic(self.value)
 
 
 @dataclass
@@ -182,8 +180,7 @@ class DiskProfile:
 
     def media_rate_bytes_ms(self):
         """Mean sustained transfer rate in bytes/ms over all tracks."""
-        ntracks = sum(n for n, _ in self.zones)
-        return self.capacity_bytes / (ntracks * self.rotation_time)
+        return self.capacity_bytes / (self.cylinders * self.rotation_time)
 
 
 def cheetah_15k5():
@@ -241,8 +238,7 @@ def seek_distance_pmf(profile, mode="uniform-cylinder"):
 def seek_time_moments(pmf, seek_time_fn):
     """Moments of seek time over a seek-distance pmf; d=0 contributes 0."""
     t = np.where(pmf.values > 0, seek_time_fn(pmf.values), 0.0)
-    p = pmf.probs
-    return MomentSet(float(p @ t), float(p @ t ** 2), float(p @ t ** 3))
+    return _weighted_moments(pmf.probs, t)
 
 
 def seek_time_dist(profile, mode="uniform-cylinder"):
@@ -258,8 +254,12 @@ def transfer_moments(profile, block_sectors):
     being on that cylinder (proportional to its capacity).
     """
     sect = profile.sectors_per_cylinder()
-    w = sect / sect.sum()
     t = block_sectors * profile.rotation_time / sect
+    return _weighted_moments(sect / sect.sum(), t)
+
+
+def _weighted_moments(w, t):
+    """First three raw moments of the values t under the probabilities w."""
     return MomentSet(float(w @ t), float(w @ t ** 2), float(w @ t ** 3))
 
 

@@ -42,8 +42,6 @@ class Field:
     def add(self, a, b):
         return a ^ b
 
-    sub = add
-
     def mul(self, a, b):
         if a == 0 or b == 0:
             return 0
@@ -59,9 +57,6 @@ class Field:
             return 1
         n = self.order - 1
         return self.exp[(n - self.log[a]) % n]
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def pow(self, a, k):
         if a == 0:

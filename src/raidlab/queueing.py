@@ -35,10 +35,6 @@ class WorkloadSpec:
         if not 0 <= self.read_fraction <= 1:
             raise ValueError("read fraction must be in [0,1]")
 
-    @property
-    def write_fraction(self):
-        return 1.0 - self.read_fraction
-
 
 @dataclass
 class WaitStats:
@@ -49,13 +45,15 @@ class WaitStats:
     response: float    # ms
     utilization: float
 
-    @property
-    def W(self):
-        return self.wait
 
-    @property
-    def R(self):
-        return self.response
+def offered_load(arrival_rate, mean_service):
+    """(lam per ms, rho = lam * mean_service) for an arrival rate in 1/s and
+    a mean service time in ms; SaturationError at rho >= 1."""
+    lam = arrival_rate / MS_PER_S
+    rho = lam * mean_service
+    if rho >= 1:
+        raise SaturationError(rho)
+    return lam, rho
 
 
 def mg1_wait(arrival_rate, svc):
@@ -63,10 +61,7 @@ def mg1_wait(arrival_rate, svc):
 
     W = lam*m2 / (2(1-rho));  W2 = 2 W^2 + lam*m3 / (3(1-rho)).
     """
-    lam = arrival_rate / MS_PER_S
-    rho = lam * svc.m1
-    if rho >= 1:
-        raise SaturationError(rho)
+    lam, rho = offered_load(arrival_rate, svc.m1)
     w = lam * svc.m2 / (2.0 * (1.0 - rho))
     w2 = 2.0 * w * w + lam * svc.m3 / (3.0 * (1.0 - rho))
     return WaitStats(w, w2, w + svc.m1, rho)
@@ -127,18 +122,9 @@ def allocate_load(devices, total_rate, policy="mean-optimal", tol=1e-9):
                 return 0.0
             return 2.0 * (r - dev.m1) / (dev.m2 + 2.0 * dev.m1 * (r - dev.m1))
 
-        def excess(r):
-            return sum(rate_at(d, r) for d in devices) - lam_total
-
         lo = min(d.m1 for d in devices)
         hi = 2.0 * max(d.m1 for d in devices)
-        while excess(hi) < 0:
-            hi *= 2.0  # rate_at tends to device capacity, so this terminates
-        r_star = brentq(excess, lo, hi, xtol=tol, rtol=1e-14)
-        rates = [rate_at(d, r_star) for d in devices]
-        return _rescaled(rates, lam_total)
-
-    if policy == "mean-optimal":
+    elif policy == "mean-optimal":
         # KKT: marginal cost d/dlam [lam R(lam)] equal across active devices
         def marginal(dev, lam):
             rho = lam * dev.m1
@@ -153,22 +139,19 @@ def allocate_load(devices, total_rate, policy="mean-optimal", tol=1e-9):
             return brentq(lambda x: marginal(dev, x) - eta, 0.0, hi,
                           xtol=tol, rtol=1e-14)
 
-        def excess(eta):
-            return sum(rate_at(d, eta) for d in devices) - lam_total
-
         lo = min(marginal(d, 0.0) for d in devices)
         hi = lo + 1.0
-        while excess(hi) < 0:
-            hi *= 2.0
-        eta_star = brentq(excess, lo, hi, xtol=tol, rtol=1e-14)
-        rates = [rate_at(d, eta_star) for d in devices]
-        return _rescaled(rates, lam_total)
+    else:
+        raise ValueError("policy must be 'mean-optimal' or 'min-max'")
 
-    raise ValueError("policy must be 'mean-optimal' or 'min-max'")
+    def excess(x):
+        return sum(rate_at(d, x) for d in devices) - lam_total
 
-
-def _rescaled(rates, lam_total):
-    """Absorb the root-finder residual so the split sums exactly."""
+    while excess(hi) < 0:
+        hi *= 2.0  # rate_at tends to device capacity, so this terminates
+    x_star = brentq(excess, lo, hi, xtol=tol, rtol=1e-14)
+    rates = [rate_at(d, x_star) for d in devices]
+    # absorb the root-finder residual so the split sums exactly
     total = sum(rates)
     if total <= 0:
         raise ValueError("no device accepted load")
@@ -203,9 +186,7 @@ def forkjoin_response(method, n, rho=None, resp=None, branches=None,
     if method == "nelson-tantawi":
         if not 2 <= n <= 32:
             raise ValueError("nelson-tantawi fits 2..32 ways")
-        if not 0 <= rho < 1:
-            raise SaturationError(rho)
-        r2 = (12.0 - rho) / 8.0 * resp
+        r2 = forkjoin_response("flatto-hahn", 2, rho=rho, resp=resp)
         h_ratio = harmonic(n) / harmonic(2)
         return (h_ratio + (1.0 - h_ratio) * (4.0 / 11.0) * rho) * r2
     if method == "order-stat-max":
@@ -296,12 +277,10 @@ def response_cv(arrival_rate, svc):
       c_R^2 = (c_X^2 + rho s_X / (3(1-rho)) + w^2) / (1 + w)^2.
     Limits: c_X^2 as rho -> 0 and 1 as rho -> 1.
     """
-    lam = arrival_rate / MS_PER_S
-    rho = lam * svc.m1
-    if rho >= 1:
-        raise SaturationError(rho)
+    ws = mg1_wait(arrival_rate, svc)
+    rho = ws.utilization
     sx = svc.m3 / svc.m1 ** 3
-    w = lam * svc.m2 / (2.0 * (1.0 - rho)) / svc.m1
+    w = ws.wait / svc.m1
     num = svc.cv2 + rho * sx / (3.0 * (1.0 - rho)) + w * w
     return num / (1.0 + w) ** 2
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import disk as diskmod
 from .disk import Deterministic, MomentSet, transform_eval
-from .queueing import MS_PER_S, SaturationError, mg1_wait
+from .queueing import MS_PER_S, SaturationError, mg1_wait, offered_load
 
 
 @dataclass
@@ -100,10 +100,7 @@ def delay_cycle(arrival_rate, mean_service, v_residual):
     g = x/(1-rho);  T_dc = (x + v_r)/(1-rho);  T_ct = T_dc + 1/lambda.
     T_ct is None at lambda = 0 (no cycles).
     """
-    lam = arrival_rate / MS_PER_S
-    rho = lam * mean_service
-    if rho >= 1:
-        raise SaturationError(rho)
+    lam, rho = offered_load(arrival_rate, mean_service)
     g = mean_service / (1.0 - rho)
     t_dc = (mean_service + v_residual) / (1.0 - rho)
     t_ct = t_dc + 1.0 / lam if lam > 0 else None
@@ -122,8 +119,8 @@ def _vacation_dists(profile, cfg):
 def _tracks(profile, cfg):
     if cfg.tracks is not None:
         return cfg.tracks
-    total = sum(n for n, _ in profile.zones)
-    return int(round(total * cfg.utilized_fraction / cfg.ru_fraction))
+    return int(round(profile.cylinders * cfg.utilized_fraction
+                     / cfg.ru_fraction))
 
 
 def rebuild_time_vsm(profile, workload, cfg, svc=None, mode="staged"):
@@ -157,9 +154,6 @@ def rebuild_time_vsm(profile, workload, cfg, svc=None, mode="staged"):
     k = cfg.stages
     for i in range(1, k + 1):
         lam_i = (2.0 - i / k) * lam0
-        rho_i = lam_i / MS_PER_S * svc.m1
-        if rho_i >= 1:
-            raise SaturationError(rho_i)
         vac = vacation_stats(v1, v2, lam_i)
         _, t_ct, _ = delay_cycle(lam_i, svc.m1, vac.v_residual)
         total += (n_units / k) / vac.n_track * t_ct
@@ -177,14 +171,11 @@ def rebuild_time_bandwidth(profile, workload, cfg, svc=None,
     """
     if svc is None:
         svc = diskmod.service_time_moments(profile, workload.request_sectors)
-    lam = workload.arrival_rate / MS_PER_S
-    rho = lam * svc.m1
-    if rho >= 1:
-        raise SaturationError(rho)
+    lam, _ = offered_load(workload.arrival_rate, svc.m1)
     f = cfg.ru_fraction
     t_rot = profile.rotation_time
     rate = profile.media_rate_bytes_ms()                    # bytes/ms
-    ru_bytes = f * profile.capacity_bytes / sum(n for n, _ in profile.zones)
+    ru_bytes = f * profile.capacity_bytes / profile.cylinders
     x_ru = ru_bytes / rate
     if force_single_ru or lam == 0.0:
         n_ru = 1.0 if force_single_ru else math.inf

@@ -7,6 +7,7 @@ Rates are per hour throughout (delta = 1/MTTF, mu = 1/MTTR).
 
 import math
 from dataclasses import dataclass
+from itertools import takewhile
 
 # The chain functions import ctmc, and with it numpy, where they build or
 # solve a chain, so the closed forms load neither.
@@ -52,8 +53,17 @@ def raid_reliability_no_repair(n_total, k, r):
     repair: sum_{i<=k} C(n,i) r^{n-i} (1-r)^i."""
     if k >= n_total:
         raise ValueError("tolerance must be below the disk count")
-    return sum(math.comb(n_total, i) * r ** (n_total - i) * (1.0 - r) ** i
-               for i in range(k + 1))
+    return _survivable_sum(n_total, r, (math.comb(n_total, i)
+                                        for i in range(k + 1)))
+
+
+def _survivable_sum(n, r, counts):
+    """sum_i A_i r^{n-i} (1-r)^i over the counts A_0, A_1, ... of the
+    i-failure sets that do not lose data, added in order of i."""
+    total = 0.0
+    for i, a in enumerate(counts):
+        total += a * r ** (n - i) * (1.0 - r) ** i
+    return total
 
 
 def raid5_roots(n_total, delta, mu):
@@ -235,32 +245,6 @@ def eafdl(params, placement):
     et = 1.0 / (params.n * params.lam)
     eq = rate * et * params.user_data
     return mttdl, rate, eq
-
-
-def mttdl_closed_form(model, **kw):
-    """Dispatch for the closed-form MTTDL family.
-
-    model: chen(n, k, mttf, mttr) | angus(n, k, mttf, mttr) |
-    xin_raid51(n, delta, mu) | iliadis_raid51(n, delta, mu) |
-    raid15_approx(n, delta, mu) | birth_death(s, r, lam, rho) |
-    cp/dp(PlacementParams).
-    """
-    if model == "chen":
-        return chen_mttdl(kw["n"], kw["n"] - kw["k"], kw["mttf"], kw["mttr"])
-    if model == "angus":
-        return angus_mttdl(kw["n"], kw["k"], kw["mttf"], kw["mttr"],
-                           kw.get("exact", True))
-    if model == "xin_raid51":
-        return xin_raid51_mttdl(kw["n"], kw["delta"], kw["mu"])
-    if model == "iliadis_raid51":
-        return iliadis_raid51_mttdl(kw["n"], kw["delta"], kw["mu"])
-    if model == "raid15_approx":
-        return raid15_mttdl(kw["n"], kw["delta"], kw["mu"])
-    if model == "birth_death":
-        return birth_death_mttdl(kw["s"], kw["r"], kw["lam"], kw["rho"])
-    if model in ("cp", "dp"):
-        return cp_dp_mttdl_eafdl(kw["params"], model)[0]
-    raise ValueError("unknown closed-form model %r" % (model,))
 
 
 # ---------------------------------------------------------------------------
@@ -515,14 +499,10 @@ def mirrored_coefficients(org, n, i, clusters=2):
 
 
 def mirrored_reliability(org, n, r, clusters=2):
-    """Reliability via the survivable-set coefficients."""
-    total = 0.0
-    for i in range(n + 1):
-        a = mirrored_coefficients(org, n, i, clusters)
-        if a == 0 and i > 0:
-            break
-        total += a * r ** (n - i) * (1.0 - r) ** i
-    return total
+    """Reliability via the survivable-set coefficients, up to the first
+    failure count at which every set loses data (A_0 = 1)."""
+    counts = (mirrored_coefficients(org, n, i, clusters) for i in range(n + 1))
+    return _survivable_sum(n, r, takewhile(bool, counts))
 
 
 def _ncr(n, r):
@@ -641,13 +621,8 @@ def diffraid_aging(parity_shares, n=None):
 
     a[i][j] = (p_i (n-1) + (100 - p_i)) / (p_j (n-1) + (100 - p_j)).
     """
-    shares = list(parity_shares)
-    if n is None:
-        n = len(shares)
-    if abs(sum(shares) - 100.0) > 1e-9:
-        raise ValueError("parity shares must sum to 100")
-    weights = [p * (n - 1) + (100.0 - p) for p in shares]
-    size = len(shares)
+    weights = _aging_rates(parity_shares, n)
+    size = len(weights)
     return [[weights[i] / weights[j] for j in range(size)] for i in range(size)]
 
 
@@ -660,11 +635,8 @@ def diffraid_replacement_ages(parity_shares, erasure_limit=10_000.0,
     device and parity reshuffles by rank.  Returns the converged ages of the
     surviving devices at replacement time, oldest first.
     """
-    shares = list(parity_shares)
-    n = len(shares)
-    if abs(sum(shares) - 100.0) > 1e-9:
-        raise ValueError("parity shares must sum to 100")
-    rates = [p * (n - 1) + (100.0 - p) for p in shares]
+    rates = _aging_rates(parity_shares)
+    n = len(rates)
     ages = [0.0] * n
     prev = None
     for _ in range(iterations):
@@ -678,3 +650,14 @@ def diffraid_replacement_ages(parity_shares, erasure_limit=10_000.0,
             return survivors
         prev = survivors
     return prev
+
+
+def _aging_rates(parity_shares, n=None):
+    """Aging rate of each device, p (n-1) + (100 - p) for its parity share p
+    in percent (n defaults to the share count); the shares must sum to 100."""
+    shares = list(parity_shares)
+    if n is None:
+        n = len(shares)
+    if abs(sum(shares) - 100.0) > 1e-9:
+        raise ValueError("parity shares must sum to 100")
+    return [p * (n - 1) + (100.0 - p) for p in shares]

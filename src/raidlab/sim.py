@@ -163,11 +163,11 @@ def sim_generic_mttdl(n, delta, mu, regime="angus", tolerance=None,
     components failed.
 
     regime "chen" repairs one component at a time, oldest failure first;
-    "angus" repairs every failed component concurrently.  method "auto" or
-    "fast" samples the birth-death chain exactly; "loop" runs the event
-    loop of ``montecarlo.loop_block`` as a cross-check.  An argument that
-    never loses data or cannot be sampled is a ValueError before any draw."""
-    if method not in ("auto", "fast", "loop"):
+    "angus" repairs every failed component concurrently.  method "auto"
+    samples the birth-death chain exactly; "loop" runs the event loop of
+    ``montecarlo.loop_block`` as a cross-check.  An argument that never
+    loses data or cannot be sampled is a ValueError before any draw."""
+    if method not in ("auto", "loop"):
         raise ValueError("unknown method %r" % (method,))
     if tolerance is None or not 0 <= tolerance < n:
         raise ValueError("tolerance must be in 0..%d for n=%d components, "
@@ -310,6 +310,13 @@ def _batch_ci(values, n_batches, level):
     return confidence(batches, level)
 
 
+def _wait_response(waits, serv, n_batches, level):
+    """Batch-means wait and response (wait plus service) with half-widths."""
+    wm, wh = _batch_ci(waits, n_batches, level)
+    rm, rh = _batch_ci(waits + serv, n_batches, level)
+    return {"wait": wm, "wait_hw": wh, "response": rm, "response_hw": rh}
+
+
 class _QueueParams(dict):
     """A queue model's params: a key the model reads and the dict lacks is
     a ValueError that names it."""
@@ -370,10 +377,7 @@ def sim_queue(model, params, n_customers=200_000, warmup=10_000, seed=0,
         inter = rng.exponential(1.0 / lam, n_customers)
         serv = svc(rng, n_customers)
         waits = _lindley_waits(inter, serv)[warmup:]
-        resp = waits + serv[warmup:]
-        wm, wh = _batch_ci(waits, n_batches, level)
-        rm, rh = _batch_ci(resp, n_batches, level)
-        return {"wait": wm, "wait_hw": wh, "response": rm, "response_hw": rh,
+        return {**_wait_response(waits, serv[warmup:], n_batches, level),
                 "rho": rho, "n": len(waits)}
 
     if model == "gim1_erlang2":
@@ -528,10 +532,7 @@ def _sim_vsm(params, n_customers, warmup, rng, level, n_batches):
             units_per_idle.append(units)
         w[i] = t - a
         t += s[i]
-    resp = waits + serv
-    wm, wh = _batch_ci(waits[warmup:], n_batches, level)
-    rm, rh = _batch_ci(resp[warmup:], n_batches, level)
-    return {"wait": wm, "wait_hw": wh, "response": rm, "response_hw": rh,
+    return {**_wait_response(waits[warmup:], serv[warmup:], n_batches, level),
             "mean_units_per_idle": float(np.mean(units_per_idle)),
             "n": n_customers - warmup}
 
@@ -565,10 +566,7 @@ def _sim_pcm(params, n_customers, warmup, rng, level, n_batches):
         start = a if a > t_free else t_free
         w[i] = start - a
         t_free = start + s[i]
-    wm, wh = _batch_ci(waits[warmup:], n_batches, level)
-    resp = waits + serv
-    rm, rh = _batch_ci(resp[warmup:], n_batches, level)
-    return {"wait": wm, "wait_hw": wh, "response": rm, "response_hw": rh,
+    return {**_wait_response(waits[warmup:], serv[warmup:], n_batches, level),
             "rebuild_wait": float(np.mean(ru_waits)) if ru_waits else 0.0,
             "rebuild_reads": len(ru_waits),
             "n": n_customers - warmup}

@@ -56,7 +56,7 @@ def _record(name, params):
     doc = codes.to_json(code)
     doc["symbols"] = list(code.symbols)
     doc["column_order"] = list(code.column_map)
-    doc["base_view"] = code.base_view
+    doc["base_view"] = doc.pop("base_view")  # pinned as the last key
     return json.loads(json.dumps(doc))
 
 

@@ -236,6 +236,16 @@ class TestReplayAndExitCodes:
         code = run_cli(["analyze", "queueing", "--config", str(bad)], tmp_path)
         assert code == 2
 
+    def test_output_section_exit_2(self, tmp_path):
+        # --format and --out choose the report files; a scenario cannot
+        cfg = tmp_path / "out.json"
+        cfg.write_text(json.dumps({
+            "version": "1", "workload": {"arrival_rate": 50.0},
+            "output": {"format": ["csv"], "path": "mine"}}))
+        code = run_cli(["analyze", "queueing", "--config", str(cfg)], tmp_path)
+        assert code == 2
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_domain_error_exit_3(self, tmp_path):
         cfg = tmp_path / "sat.json"
         cfg.write_text(json.dumps({
@@ -307,9 +317,14 @@ class TestReplayAndExitCodes:
          "disks"),
         ("sim queue", {"sim": {"model": "mg1",
                                "params": {"arrival_rate": 0.05}}}, "service"),
+        ("analyze queueing", {"profile": {"cylinders": 1000,
+                                          "seek_char": [0.5, 0.1]},
+                              "workload": {"arrival_rate": 50.0}},
+         "rotation_time_ms"),
     ], ids=["hraid-extra-key", "generic-missing-key", "chen-missing-key",
             "ctmc-missing-section", "nrp-missing-group",
-            "shifted-missing-disks", "mg1-missing-param"])
+            "shifted-missing-disks", "mg1-missing-param",
+            "profile-missing-key"])
     def test_schema_valid_key_mismatch_exit_3(self, tmp_path, capsys,
                                               command, doc, key):
         validate_scenario(doc)

@@ -636,6 +636,20 @@ class TestSerialization:
                 assert codes.is_recoverable(back, pattern) == \
                     codes.is_recoverable(code, pattern)
 
+    @pytest.mark.parametrize("make,f,want", [
+        (builders.pyramid_8_2_2, 4, (341, 495)),
+        (builders.pyramid_12_2_2, 5, (3179, 6188)),
+    ], ids=["pyramid_8_2_2", "pyramid_12_2_2"])
+    def test_round_trip_keeps_the_base_view(self, make, f, want):
+        code = make()
+        doc = json.loads(json.dumps(codes.to_json(code)))
+        back = codes.from_json(doc)
+        assert codes.to_json(back) == doc
+        for c in (code, back):
+            _, _, got = codes.recoverable_fraction(c, f,
+                                                   decoder="local-global")
+            assert got == want
+
     def test_equation_on_unknown_symbol_rejected(self):
         doc = codes.to_json(builders.raid5(4))
         doc["equations"][0][1].append(["x", 1])

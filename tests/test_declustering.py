@@ -179,6 +179,22 @@ class TestCopysets:
         scheme = CopysetScheme(15, 3, 6, scheme="copyset", seed=2)
         assert scatter_widths(scheme) == [6] * 15
 
+    # the drawn copysets, pinned: a change to the rejection loop that
+    # changes a draw keeps counts and scatter widths but fails here
+    @pytest.mark.parametrize("n,r,s,seed,want", [
+        (9, 3, 4, 0, [[0, 1, 7], [0, 5, 6], [1, 4, 8], [2, 3, 7], [2, 4, 5],
+                      [3, 6, 8]]),
+        (9, 3, 4, 1, [[0, 1, 7], [0, 4, 6], [1, 2, 3], [2, 4, 5], [3, 6, 8],
+                      [5, 7, 8]]),
+        (15, 3, 6, 0, [[0, 1, 7], [0, 3, 14], [0, 4, 10], [1, 8, 13],
+                       [1, 9, 11], [2, 3, 11], [2, 4, 6], [2, 10, 13],
+                       [3, 10, 12], [4, 7, 12], [5, 6, 8], [5, 7, 14],
+                       [5, 9, 13], [6, 9, 12], [8, 11, 14]]),
+    ], ids=["9-3-4-seed0", "9-3-4-seed1", "15-3-6-seed0"])
+    def test_drawn_copysets_pinned(self, n, r, s, seed, want):
+        scheme = CopysetScheme(n, r, s, scheme="copyset", seed=seed)
+        assert sorted(sorted(cs) for cs in copysets(scheme)) == want
+
     def test_non_integral_p_rejected(self):
         with pytest.raises(ValueError) as err:
             CopysetScheme(9, 3, 5, scheme="copyset")

@@ -1,11 +1,18 @@
-"""Every name a raidlab module imports is used by that module.
+"""Every name a raidlab module imports is used by that module, and every
+function, method or property raidlab defines is named somewhere.
 
-A static check with the stdlib `ast`: a module's imported names must appear
-as a name somewhere else in it, or in its `__all__`; the package's
-`__init__.py` re-exports what it imports, so all of its imports count.
+Static checks with the stdlib `ast`:
+- a module's imported names must appear as a name somewhere else in it, or
+  in its `__all__`; the package's `__init__.py` re-exports what it imports,
+  so all of its imports count;
+- a function, method or property defined in a raidlab module must be named
+  (called, read, imported, or spelled in a string that is not a docstring)
+  in some Python file under src, tests, demos or perfbench.  Dunder methods
+  are exempt: Python calls them.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -14,6 +21,11 @@ import raidlab
 
 PACKAGE = Path(raidlab.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+# this file's own checker fixtures name nothing in raidlab
+CORPUS = sorted(p for d in ("src", "tests", "demos", "perfbench")
+                for p in (ROOT / d).rglob("*.py")
+                if p != Path(__file__).resolve())
 
 
 def unused_imports(source, reexports=False):
@@ -57,3 +69,62 @@ def test_checker_reports_unused_names():
     assert unused_imports(source) == [(1, "os"), (3, "turn"), (4, "gf"),
                                       (7, "dumps")]
     assert unused_imports(source, reexports=True) == []
+
+
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def definitions(source):
+    """(line, name) of each function, method or property in `source`,
+    dunder methods aside."""
+    return sorted((node.lineno, node.name)
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, DEFS) and not (
+                      node.name.startswith("__") and node.name.endswith("__")))
+
+
+def named(source):
+    """Every identifier that `source` names: as a name, an attribute, an
+    import, or a word of a string constant that is not a docstring."""
+    tree = ast.parse(source)
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef) + DEFS)
+                  and node.body and isinstance(node.body[0], ast.Expr)}
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.update(node.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and id(node) not in docstrings:
+            out.update(re.findall(r"[A-Za-z_]\w*", node.value))
+    return out
+
+
+def test_every_definition_is_named():
+    used = set().union(*(named(p.read_text()) for p in CORPUS))
+    unnamed = ["%s:%d %s" % (path.name, line, name) for path in MODULES
+               for line, name in definitions(path.read_text())
+               if name not in used]
+    assert unnamed == []
+
+
+def test_definition_checker_skips_docstrings():
+    source = ('import a.helper\n'
+              'class C:\n'
+              '    """spelled: f g k"""\n'
+              '    def __init__(self): pass\n'
+              '    @property\n'
+              '    def f(self): return 1\n'
+              '    def g(self): return self.f\n'
+              'def h(): return "trace h"\n'
+              'def helper(): pass\n'
+              'def k(): pass\n')
+    assert definitions(source) == [(6, "f"), (7, "g"), (8, "h"),
+                                   (9, "helper"), (10, "k")]
+    names = named(source)
+    assert {"f", "h", "helper"} <= names
+    assert not {"g", "k"} & names

@@ -10,7 +10,7 @@ from raidlab.reliability import (
     LseParams, PlacementParams, ReliabilityParams, angus_mttdl,
     birth_death_mttdl, chen_mttdl, diffraid_aging, diffraid_replacement_ages,
     eafdl, epsilon_from_horizon, iliadis_raid51_mttdl, mirrored_coefficients,
-    mirrored_reliability, mttdl_closed_form, mttdl_with_lse, p_uf, pseg,
+    mirrored_reliability, mttdl_with_lse, p_uf, pseg, raid15_mttdl,
     raid5_closed_form, raid5_chain, raid_reliability_no_repair, scrub_model,
     shortcut_compare, tmr, xin_raid51_mttdl,
 )
@@ -125,13 +125,19 @@ class TestMultilevel:
             want = mu ** 3 / (3 * d * (d - 1) * delta ** 4)
             assert got == pytest.approx(want, rel=1e-12)
 
+    def test_raid15_is_a_parallel_pair_of_raid5_sides(self):
+        # a lost side is not rebuilt, so the mirror lives 1/x + 1/(2x) =
+        # 1.5 MTTDL_5, with MTTDL_5 the single-parity closed form to
+        # leading order in delta/mu
+        delta, mu = 1e-6, 0.1
+        for disks in (4, 8):
+            _, m5, _ = raid5_closed_form(ReliabilityParams(disks, delta, mu))
+            assert raid15_mttdl(disks, delta, mu) == pytest.approx(
+                1.5 * m5, rel=1e-3)
+
     def test_birth_death_numeric_vs_approx(self):
         total, approx = birth_death_mttdl(9, 6, 1e-4, 0.5)
         assert total == pytest.approx(approx, rel=0.05)
-
-    def test_dispatch(self):
-        assert mttdl_closed_form("chen", n=10, k=9, mttf=2000, mttr=1) == \
-            pytest.approx(4.444e4, rel=1e-3)
 
 
 class TestLse:

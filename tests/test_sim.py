@@ -281,7 +281,7 @@ class TestGenericMttdl:
     def test_fast_path_matches_event_loop(self):
         kw = dict(n=10, delta=1 / 2000, mu=1.0, regime="angus", tolerance=1,
                   reps=4000)
-        fast = sim_generic_mttdl(seed=11, method="fast", **kw)
+        fast = sim_generic_mttdl(seed=11, method="auto", **kw)
         loop = sim_generic_mttdl(seed=12, method="loop", **kw)
         overlap = abs(fast.estimate - loop.estimate) <= \
             fast.half_width + loop.half_width
