@@ -39,6 +39,14 @@ def _xor(name, data, groups, column_map=None, row_map=None):
     )
 
 
+def _vandermonde(field, data, checks, points, first=0):
+    """One equation per check: check j = sum_i data_i x_i^(first + j) over
+    the points x_i, with the check as its last term."""
+    return [(c, tuple((d, field.pow(x, first + j))
+                      for d, x in zip(data, points)) + ((c, 1),))
+            for j, c in enumerate(checks)]
+
+
 def raid5(n):
     """Single-parity stripe over n disks: P = D_1 xor ... xor D_{n-1}."""
     if n < 3:
@@ -56,19 +64,15 @@ def raid4k(n, k, field=gf.GF256):
     # the powers of a primitive element are distinct up to order - 1 of them
     if m > field.order - 1:
         raise ValueError("field too small for %d data symbols" % m)
-    alphas = [field.exp[i] for i in range(m)]
     data = tuple("d%d" % i for i in range(m))
     checks = tuple("c%d" % j for j in range(k))
-    equations = []
-    for j in range(k):
-        terms = tuple((data[i], field.pow(alphas[i], j)) for i in range(m))
-        equations.append((checks[j], terms + ((checks[j], 1),)))
     code = CodeSpec(
         name="raid4k(%d,%d)" % (n, k),
         field=field,
         data_ids=data,
         check_ids=checks,
-        equations=tuple(equations),
+        equations=tuple(_vandermonde(field, data, checks,
+                                     field.exp[:m])),
     )
     if n <= 16 and recoverable_fraction(code, k)[1] != 1:
         raise ValueError("generator is not MDS for n=%d k=%d" % (n, k))
@@ -130,10 +134,11 @@ def xcode(n):
 def grid_compose(row_factory, col_factory, k1, k2):
     """Compose 1-D stripe codes over the rows and columns of a k1 x k2 grid.
 
-    The row code runs over each data row (its checks become extra columns);
-    the column code then runs over every column of the augmented array,
-    including the row-check columns, so corner checks satisfy both marginal
-    identities by construction.
+    Each factory(k) gives a code of k data symbols.  The row code runs over
+    each data row (its checks become extra columns); the column code then
+    runs over every column of the augmented array, including the row-check
+    columns, so corner checks satisfy both marginal identities by
+    construction.
     """
     row_proto = row_factory(k2)
     row_checks = len(row_proto.check_ids)
@@ -147,33 +152,18 @@ def grid_compose(row_factory, col_factory, k1, k2):
     data = [cell(i, j) for i in range(k1) for j in range(k2)]
     checks = []
     equations = []
-    column_map = {}
-    for i in range(k1 + col_checks):
-        for j in range(width):
-            column_map[cell(i, j)] = j
-
-    # row code instances
-    for i in range(k1):
-        mapping = {}
-        for d_idx, s in enumerate(row_proto.data_ids):
-            mapping[s] = cell(i, d_idx)
-        for c_idx, s in enumerate(row_proto.check_ids):
-            mapping[s] = cell(i, k2 + c_idx)
-            checks.append(cell(i, k2 + c_idx))
-        for cid, terms in row_proto.equations:
-            equations.append((mapping[cid],
-                              tuple((mapping[s], c) for s, c in terms)))
-    # column code instances over all width columns
-    for j in range(width):
-        mapping = {}
-        for d_idx, s in enumerate(col_proto.data_ids):
-            mapping[s] = cell(d_idx, j)
-        for c_idx, s in enumerate(col_proto.check_ids):
-            mapping[s] = cell(k1 + c_idx, j)
-            checks.append(cell(k1 + c_idx, j))
-        for cid, terms in col_proto.equations:
-            equations.append((mapping[cid],
-                              tuple((mapping[s], c) for s, c in terms)))
+    column_map = {cell(i, j): j for i in range(k1 + col_checks)
+                  for j in range(width)}
+    # an instance of the prototype per line (data row, then column), with
+    # the prototype's p-th symbol on the line's p-th cell
+    for proto, lines, place in ((row_proto, k1, lambda t, p: cell(t, p)),
+                                (col_proto, width, lambda t, p: cell(p, t))):
+        for t in range(lines):
+            mapping = {s: place(t, p) for p, s in enumerate(proto.symbols)}
+            checks += [mapping[s] for s in proto.check_ids]
+            equations += [(mapping[cid],
+                           tuple((mapping[s], c) for s, c in terms))
+                          for cid, terms in proto.equations]
     row_map = {s: int(s[1:].split("_")[0]) for s in data + checks}
     return CodeSpec(
         name="grid(%s,%s,%dx%d)" % (row_proto.name, col_proto.name, k1, k2),
@@ -233,22 +223,16 @@ def _lrc(name, groups, local_ids, global_ids, split=None):
     and the code records the base view for two-phase decoding."""
     field = gf.GF256
     data = tuple(d for g in groups for d in g)
-    equations = []
-    group_map = {}
-    for gi, (g, local) in enumerate(zip(groups, local_ids)):
-        equations.append((local, tuple((d, 1) for d in g) + ((local, 1),)))
-        group_map.update(dict.fromkeys(tuple(g) + (local,), gi))
-    for j, glob in enumerate(global_ids):
-        terms = tuple((d, field.pow(field.exp[i], j + 1))
-                      for i, d in enumerate(data))
-        equations.append((glob, terms + ((glob, 1),)))
+    equations = [(local, tuple((d, 1) for d in g) + ((local, 1),))
+                 for g, local in zip(groups, local_ids)]
+    equations += _vandermonde(field, data, global_ids,
+                              field.exp[:len(data)], first=1)
     return CodeSpec(
         name=name,
         field=field,
         data_ids=data,
         check_ids=tuple(local_ids) + tuple(global_ids),
         equations=tuple(equations),
-        group_map=group_map,
         base_view=split and {
             "virtuals": {split: tuple((l, 1) for l in local_ids)},
             "equations": (tuple((d, 1) for d in data) + ((split, 1),),)
@@ -295,10 +279,7 @@ def xorbas_16_10_5():
     data = tuple("x%d" % i for i in range(1, 11))
     xs = [field.exp[i] for i in range(1, 11)]  # avoid x=1 so c_i != 0
     parities = tuple("p%d" % j for j in range(1, 5))
-    equations = []
-    for j in range(4):
-        terms = tuple((data[i], field.pow(xs[i], j)) for i in range(10))
-        equations.append((parities[j], terms + ((parities[j], 1),)))
+    equations = _vandermonde(field, data, parities, xs)
     # local coefficients c_i = sum_j x_i^j align so S1 + S2 + sum_j P_j = 0
     cs = [field.pow(x, 0) ^ field.pow(x, 1) ^ field.pow(x, 2) ^ field.pow(x, 3)
           for x in xs]
@@ -307,13 +288,6 @@ def xorbas_16_10_5():
     equations.append(("s1", s1_terms))
     equations.append(("s2", s2_terms))
     implied = (("s1", 1), ("s2", 1)) + tuple((p, 1) for p in parities)
-    group_map = {}
-    for i, d in enumerate(data):
-        group_map[d] = 0 if i < 5 else 1
-    group_map["s1"] = 0
-    group_map["s2"] = 1
-    for p in parities:
-        group_map[p] = 2
     return CodeSpec(
         name="xorbas(16,10,5)",
         field=field,
@@ -321,7 +295,6 @@ def xorbas_16_10_5():
         check_ids=parities + ("s1", "s2"),
         equations=tuple(equations),
         extra_equations=(implied,),
-        group_map=group_map,
     )
 
 
@@ -386,8 +359,6 @@ def was_lrc_6_2_2(coefficients=None):
          + (("p1", 1),)),
     ]
     syms = xs + ("px",) + ys + ("py", "p0", "p1")
-    group_map = {s: 0 for s in xs + ("px",)}
-    group_map.update({s: 1 for s in ys + ("py",)})
     return CodeSpec(
         name="was_lrc(6,2,2)",
         field=field,
@@ -395,7 +366,6 @@ def was_lrc_6_2_2(coefficients=None):
         check_ids=("px", "py", "p0", "p1"),
         equations=tuple(equations),
         column_map={s: i for i, s in enumerate(syms)},
-        group_map=group_map,
     )
 
 

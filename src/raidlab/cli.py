@@ -53,7 +53,6 @@ def _params_from_config(cfg):
         disks=_need(cfg, "disks", "reliability"),
         delta=1.0 / _need(cfg, "mttf_hours", "reliability"),
         mu=(1.0 / cfg["mttr_hours"]) if cfg.get("mttr_hours") else 0.0,
-        group=cfg.get("group"),
     ))
 
 

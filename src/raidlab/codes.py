@@ -62,7 +62,6 @@ class CodeSpec:
     # symbol -> column; omitted, every symbol gets its own column in order
     column_map: dict = None
     row_map: dict = None
-    group_map: dict = None
     # dependent identities (implied parities) usable for decode/repair but not
     # owned by any check symbol
     extra_equations: tuple = ()
@@ -758,8 +757,6 @@ def to_json(code):
         "column_map": {str(s): code.column_map[s] for s in code.symbols},
         "row_map": None if code.row_map is None else
                    {str(s): code.row_map[s] for s in code.row_map},
-        "group_map": None if code.group_map is None else
-                     {str(s): code.group_map[s] for s in code.group_map},
         "base_view": code.base_view,
     }
 
@@ -778,7 +775,6 @@ def from_json(doc):
         extra_equations=tuple(map(terms, doc.get("extra_equations", []))),
         column_map=dict(doc["column_map"]),
         row_map=doc.get("row_map"),
-        group_map=doc.get("group_map"),
         base_view=doc.get("base_view"),
     )
 

@@ -358,7 +358,8 @@ def copysets(scheme):
     random: every {i} + (R-1)-subset of the S nodes after i.
     copyset: P = S/(R-1) permutations chopped into consecutive R-sets; the
     permutations are redrawn until every node's partners are disjoint across
-    permutations (exact scatter width).
+    permutations (exact scatter width).  Explicit permutations must each
+    order the nodes 0..N-1 and keep partners disjoint, or ValueError.
     """
     n, r, s = scheme.nodes, scheme.replication, scheme.scatter_width
     if scheme.scheme == "random":
@@ -375,15 +376,18 @@ def copysets(scheme):
         perms = [list(perm) for perm in scheme.permutations]
         if len(perms) != p:
             raise ValueError("need exactly %d permutations" % p)
+        if any(sorted(perm) != list(range(n)) for perm in perms):
+            raise ValueError("each permutation must order the nodes 0..%d"
+                             % (n - 1))
+        if not _disjoint(perms, n, r):
+            raise ValueError("permutations share partners: scatter width "
+                             "would fall below %d" % s)
     else:
         rng = np.random.default_rng(scheme.seed)
         perms = []
         for attempt in range(10_000):
             trial = perms + [list(rng.permutation(n))]
-            # partners stay disjoint across permutations iff each node has
-            # r - 1 new ones per permutation
-            if all(len(others) == (r - 1) * len(trial)
-                   for others in _partners(n, _chopped(trial, n, r))):
+            if _disjoint(trial, n, r):
                 perms = trial
                 if len(perms) == p:
                     break
@@ -396,6 +400,13 @@ def _chopped(perms, n, r):
     """Each permutation of the n nodes cut into consecutive R-sets."""
     return [perm[start:start + r] for perm in perms
             for start in range(0, n, r)]
+
+
+def _disjoint(perms, n, r):
+    """Partners stay disjoint across the permutations iff each node has
+    r - 1 new ones per permutation."""
+    return all(len(others) == (r - 1) * len(perms)
+               for others in _partners(n, _chopped(perms, n, r)))
 
 
 def _partners(n, groups):

@@ -19,19 +19,11 @@ from .queueing import MS_PER_S, SaturationError, mg1_wait, offered_load
 class VacationStats:
     """Two-type vacation mixture at a given external arrival rate."""
 
-    v1_moments: MomentSet
-    v2_moments: MomentSet
-    lst_v1: float          # V1*(lambda)
-    lst_v2: float          # V2*(lambda)
     q1: float              # interrupted vacation is type 1
     q2: float
     n_track: float         # mean rebuild units read per idle period
     v_moments: MomentSet   # mixture moments
     v_residual: float      # ms
-
-    def __post_init__(self):
-        if abs(self.q1 + self.q2 - 1.0) > 1e-9:
-            raise ValueError("q1 + q2 must be 1")
 
 
 @dataclass
@@ -83,7 +75,7 @@ def vacation_stats(v1, v2, arrival_rate):
             ((1.0 - lst2) * m1.m3 + lst1 * m2_.m3) / denom,
         )
     residual = mix.m2 / (2.0 * mix.m1) if mix.m1 > 0 else 0.0
-    return VacationStats(m1, m2_, lst1, lst2, q1, q2, n_track, mix, residual)
+    return VacationStats(q1, q2, n_track, mix, residual)
 
 
 def vsm_wait(arrival_rate, svc, vac):

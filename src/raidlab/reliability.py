@@ -22,26 +22,17 @@ def falling_factorial(n, k):
 
 @dataclass
 class ReliabilityParams:
-    """Disk counts and the failure/repair rates of the array."""
+    """Disk count and the failure/repair rates of the array."""
 
     disks: int
     delta: float           # 1/hour
     mu: float = 0.0        # 1/hour
-    group: int = None
-    tolerance: int = 1
-    coverage: float = 1.0
 
     def __post_init__(self):
         if self.delta <= 0:
             raise ValueError("delta must be positive")
         if self.mu < 0:
             raise ValueError("mu must be >= 0")
-        if self.group is None:
-            self.group = self.disks
-        if self.group > self.disks:
-            raise ValueError("group size exceeds disk count")
-        if not 0 <= self.coverage <= 1:
-            raise ValueError("coverage must be in [0,1]")
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +291,13 @@ def _binom_tail(n, p, k_min):
     return total
 
 
+def _at_least_one(m, p):
+    """P(at least one of m independent events of probability p each),
+    1 - (1 - p)^m without cancellation; 1 at p >= 1, where log1p(-p) is
+    undefined."""
+    return -math.expm1(m * math.log1p(-p)) if p < 1 else 1.0
+
+
 def pseg(scheme, model, lse):
     """Probability that a segment is unrecoverable.
 
@@ -313,14 +311,11 @@ def pseg(scheme, model, lse):
         raise ValueError("%s needs at least one check sector" % scheme)
     if model == "independent":
         if scheme == "none":
-            return -math.expm1(ell * math.log1p(-ps)) if ps < 1 else 1.0
+            return _at_least_one(ell, ps)
         if scheme == "spc":
             return _binom_tail(ell, ps, 2)
         if scheme == "ipc":
-            per = ell // m
-            p_int = _binom_tail(per, ps, 2)
-            # survival over the m interleaves without cancellation
-            return -math.expm1(m * math.log1p(-p_int)) if p_int < 1 else 1.0
+            return _at_least_one(m, _binom_tail(ell // m, ps, 2))
         if scheme == "rs":
             return _binom_tail(ell, ps, m + 1)
         raise ValueError("unknown scheme %r" % (scheme,))
@@ -350,8 +345,7 @@ def p_uf(lse, n_disks, k_failed, p_seg):
     1 - (1 - P_seg)^((N-k) * segments per disk)."""
     if not 0 <= p_seg <= 1:
         raise ValueError("P_seg out of [0,1]")
-    exponent = (n_disks - k_failed) * lse.segments_per_disk
-    return -math.expm1(exponent * math.log1p(-p_seg))
+    return _at_least_one((n_disks - k_failed) * lse.segments_per_disk, p_seg)
 
 
 def mttdl_with_lse(level, params, lse, scheme, model="independent"):
@@ -400,7 +394,7 @@ def raid6_lse_chain(params, lse, p_seg, mu2=None):
     mu1 = params.mu
     mu2 = mu1 if mu2 is None else mu2
     p_recf = math.comb(n - 1, 2) * p_seg * p_seg
-    puf_r = -math.expm1(lse.segments_per_disk * math.log1p(-min(p_recf, 1.0)))
+    puf_r = _at_least_one(lse.segments_per_disk, p_recf)
     puf2 = p_uf(lse, n, 2, p_seg)
     edges = [
         ("ok", "deg1", n * delta),

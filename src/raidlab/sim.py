@@ -35,7 +35,6 @@ def confidence(samples, level=0.95):
 class SimReport:
     """Point estimate with its confidence interval and provenance."""
 
-    metric: str
     estimate: float
     half_width: float
     level: float
@@ -101,7 +100,6 @@ def sim_hraid_mttdl(cfg, jobs=1):
     mean, hw = confidence(times, cfg.level)
     frac_disk = float((causes == 1).mean())
     return SimReport(
-        metric="mttdl_hours",
         estimate=mean,
         half_width=hw,
         level=cfg.level,
@@ -178,8 +176,7 @@ def sim_generic_mttdl(n, delta, mu, regime="angus", tolerance=None,
                            level)
     times = _bd_absorption_times(n, tolerance, delta, mu, regime, _rng(seed),
                                  reps)
-    return SimReport("mttdl_hours", *confidence(times, level), level, reps,
-                     seed)
+    return SimReport(*confidence(times, level), level, reps, seed)
 
 
 def sim_code_mttdl(code, delta, mu, regime="angus", granularity="column",
@@ -201,8 +198,8 @@ def _loop_mttdl(args, reps, seed, level):
     from . import montecarlo
     (times, _), extras = montecarlo.run(montecarlo.loop_block, args, seed,
                                         reps)
-    return SimReport("mttdl_hours", *confidence(times, level), level, reps,
-                     seed, extras=extras)
+    return SimReport(*confidence(times, level), level, reps, seed,
+                     extras=extras)
 
 
 # ---------------------------------------------------------------------------
@@ -227,13 +224,13 @@ def sim_copyset_loss(scheme, fail_count=None, fail_fraction=None,
     if fail_count is not None:
         f = fail_count
         if f < r:
-            return SimReport("p_dl", 0.0, 0.0, level, 0, seed)
+            return SimReport(0.0, 0.0, level, 0, seed)
         if math.comb(n, f) <= exact_budget and scheme.scheme == "copyset":
             sets = copysets(scheme)
             hits = sum(any(cs <= set(pattern) for cs in sets)
                        for pattern in combinations(range(n), f))
             p = hits / math.comb(n, f)
-            return SimReport("p_dl", p, 0.0, level, math.comb(n, f), seed,
+            return SimReport(p, 0.0, level, math.comb(n, f), seed,
                              extras={"exact": True})
     sets = None
     if scheme.scheme == "copyset":
@@ -242,7 +239,7 @@ def sim_copyset_loss(scheme, fail_count=None, fail_fraction=None,
         montecarlo.copyset_block, (n, r, s, fail_count, fail_fraction, sets),
         seed, reps)
     mean, hw = confidence(losses, level)
-    return SimReport("p_dl", mean, hw, level, reps, seed, extras=extras)
+    return SimReport(mean, hw, level, reps, seed, extras=extras)
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,15 @@ class TestReplayAndExitCodes:
         code = run_cli(["analyze", "queueing", "--config", str(bad)], tmp_path)
         assert code == 2
 
+    def test_reliability_group_exit_2(self, tmp_path):
+        # the key reached a field that no computation read
+        cfg = tmp_path / "group.json"
+        doc = load_preset("sata-idr")
+        doc["reliability"]["group"] = 4
+        cfg.write_text(json.dumps(doc))
+        assert run_cli(["analyze", "lse", "--config", str(cfg)],
+                       tmp_path) == 2
+
     def test_output_section_exit_2(self, tmp_path):
         # --format and --out choose the report files; a scenario cannot
         cfg = tmp_path / "out.json"
@@ -380,6 +389,34 @@ class TestMoreCommands:
         doc = json.loads((tmp_path / "ch.json").read_text())
         metrics = {r["metric"]: r["value"] for r in doc["rows"]}
         assert metrics["mtta"] == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("rate,shown", [("NaN", "nan"),
+                                            ("Infinity", "inf")])
+    def test_analyze_ctmc_rate_not_finite_exit_3(self, tmp_path, capsys,
+                                                 rate, shown):
+        # json reads NaN and Infinity; such a rate used to pass the build
+        # and surface as "absorbing states unreachable"
+        cfg = tmp_path / "nan.json"
+        cfg.write_text('{"version": "1", "ctmc": {"transitions": '
+                       '[["a", "b", %s]], "absorbing": ["b"]}}' % rate)
+        assert run_cli(["analyze", "ctmc", "--config", str(cfg)],
+                       tmp_path) == 3
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"error": "domain", "detail": "rate %s on 'a' -> 'b' "
+                       "is not finite and >= 0" % shown}
+
+    def test_analyze_lse_certain_sector_error(self, tmp_path):
+        # p_sector = 1 makes P_uf = 1, not a math domain error
+        doc = load_preset("sata-idr")
+        doc["reliability"]["scheme"] = "none"
+        doc["reliability"]["lse"] = {"p_sector": 1.0, "capacity_gib": 300}
+        cfg = tmp_path / "lse.json"
+        cfg.write_text(json.dumps(doc))
+        assert run_cli(["analyze", "lse", "--config", str(cfg),
+                        "--out", "lse"], tmp_path) == 0
+        rows = json.loads((tmp_path / "lse.json").read_text())["rows"]
+        metrics = {r["metric"]: r["value"] for r in rows}
+        assert metrics["p_seg"] == 1.0 and metrics["p_uf"] == 1.0
 
     def test_analyze_ctmc_curve_rows_keep_order(self, tmp_path):
         from raidlab.ctmc import build_ctmc, reliability_curve

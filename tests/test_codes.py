@@ -650,6 +650,12 @@ class TestSerialization:
                                                    decoder="local-global")
             assert got == want
 
+    def test_document_with_a_group_map_loads(self):
+        # documents written while CodeSpec had a group_map still load
+        code = builders.was_lrc_6_2_2()
+        doc = dict(codes.to_json(code), group_map={"x0": 0, "y0": 1})
+        assert codes.to_json(codes.from_json(doc)) == codes.to_json(code)
+
     def test_equation_on_unknown_symbol_rejected(self):
         doc = codes.to_json(builders.raid5(4))
         doc["equations"][0][1].append(["x", 1])
@@ -1206,7 +1212,7 @@ def _pyramid_with_lone_symbol():
     passes the base solve and fails the re-peel."""
     code = builders.pyramid_8_2_2()
     return replace(code, name="pyramid+z", data_ids=code.data_ids + ("z",),
-                   column_map=None, row_map=None, group_map=None)
+                   column_map=None, row_map=None)
 
 
 class TestLocalGlobalDecoder:

@@ -11,8 +11,9 @@ from raidlab.ctmc import (
     reliability_curve, transient_series, transient_uniformization,
 )
 from raidlab.reliability import (
-    ReliabilityParams, duplex_coverage_chain, raid5_chain, raid5_closed_form,
-    raid5_lse_chain, LseParams, mttdl_with_lse, pseg, tmr, tmr_chain,
+    ReliabilityParams, birth_death_chain, duplex_coverage_chain, raid5_chain,
+    raid5_closed_form, raid5_lse_chain, LseParams, mttdl_with_lse, pseg, tmr,
+    tmr_chain,
 )
 
 
@@ -32,6 +33,21 @@ class TestBuild:
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
             build_ctmc([("a", "b", -1.0)])
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_rate_not_finite_and_nonnegative_rejected(self, rate):
+        with pytest.raises(ValueError, match="on 'a' -> 'b' is not finite"):
+            build_ctmc([("a", "b", rate)], absorbing=["b"])
+
+    @pytest.mark.parametrize("initial", [{"a": 0.5}, {"a": 1.5, "b": -0.5},
+                                         {"a": math.nan}, [1.0]])
+    def test_initial_not_a_distribution_rejected(self, initial):
+        with pytest.raises(ValueError, match="must be a distribution"):
+            build_ctmc([("a", "b", 1.0)], absorbing=["b"], initial=initial)
+
+    def test_initial_on_an_unknown_state_rejected(self):
+        with pytest.raises(ValueError, match="initial names 'c', not a state"):
+            build_ctmc([("a", "b", 1.0)], absorbing=["b"], initial={"c": 1.0})
 
     def test_trivial_absorbing_state(self):
         chain = build_ctmc([], absorbing=["only"], states=["only"],
@@ -90,6 +106,15 @@ class TestAbsorption:
                            initial={"a": 1.0})
         with pytest.raises(ValueError):
             mean_time_to_absorption(chain)
+
+    @pytest.mark.parametrize("args,mass", [((20, 14, 1e-4, 1), "1.607"),
+                                           ((16, 12, 1e-6, 1), "0.00026")])
+    def test_lone_absorbing_state_mass_is_checked(self, args, mass):
+        # the dense solve is wrong on these stiff chains, and the absorbed
+        # mass of their one absorbing state shows it
+        with pytest.raises(ValueError,
+                           match="absorption probabilities sum to " + mass):
+            mean_time_to_absorption(birth_death_chain(*args))
 
     def test_absorption_probabilities_split(self):
         chain = build_ctmc([("s", "a", 1.0), ("s", "b", 3.0)],

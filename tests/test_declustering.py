@@ -167,6 +167,15 @@ class TestCopysets:
         assert p == pytest.approx(6 / 84)
         assert p == pytest.approx(0.07, abs=0.005)
 
+    @pytest.mark.parametrize("perms,error", [
+        ([range(9)] * 2, "share partners"),
+        ([[0, 0, 0, 1, 1, 1, 2, 2, 2], range(9)], "order the nodes"),
+    ], ids=["shared-partners", "not-a-permutation"])
+    def test_explicit_permutations_checked(self, perms, error):
+        scheme = CopysetScheme(9, 3, 4, scheme="copyset", permutations=perms)
+        with pytest.raises(ValueError, match=error):
+            copysets(scheme)
+
     def test_full_replication_single_copyset(self):
         scheme = CopysetScheme(6, 6, 5, scheme="copyset")
         p, count = copyset_pdl(scheme)

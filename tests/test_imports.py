@@ -8,7 +8,10 @@ Static checks with the stdlib `ast`:
 - a function, method or property defined in a raidlab module must be named
   (called, read, imported, or spelled in a string that is not a docstring)
   in some Python file under src, tests, demos or perfbench.  Dunder methods
-  are exempt: Python calls them.
+  are exempt: Python calls them;
+- a field of a raidlab dataclass must be read in one of those files, as an
+  attribute load or a `getattr` with a constant name: a field that is only
+  set is data that nothing reads.
 """
 
 import ast
@@ -128,3 +131,59 @@ def test_definition_checker_skips_docstrings():
     names = named(source)
     assert {"f", "h", "helper"} <= names
     assert not {"g", "k"} & names
+
+
+def dataclass_fields(source):
+    """(line, class, field) of each field of each `@dataclass` class in
+    `source`: its annotated class-level names."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        # @dataclass, @dataclass(...) or @dataclasses.dataclass
+        if isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list):
+            out += [(item.lineno, node.name, item.target.id)
+                    for item in node.body if isinstance(item, ast.AnnAssign)
+                    and isinstance(item.target, ast.Name)]
+    return sorted(out)
+
+
+def read(source):
+    """Every attribute name that `source` loads: `x.name` read, or
+    `getattr(x, "name")` with a constant name."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "getattr" and len(node.args) > 1 \
+                and isinstance(node.args[1], ast.Constant):
+            out.add(node.args[1].value)
+    return out
+
+
+def test_every_dataclass_field_is_read():
+    loaded = set().union(*(read(p.read_text()) for p in CORPUS))
+    unread = ["%s:%d %s.%s" % (path.name, line, cls, name)
+              for path in MODULES
+              for line, cls, name in dataclass_fields(path.read_text())
+              if name not in loaded]
+    assert unread == []
+
+
+def test_field_checker_counts_loads_only():
+    source = ("from dataclasses import dataclass, field\n"
+              "@dataclass\n"
+              "class P:\n"
+              "    a: int\n"
+              "    b: int = 0\n"
+              "    c: list = field(default_factory=list)\n"
+              "    d = 4\n"
+              "class Q:\n"
+              "    e: int\n"
+              "def f(p):\n"
+              "    p.b = 1\n"
+              "    return p.a, getattr(p, 'c')\n")
+    assert dataclass_fields(source) == [(4, "P", "a"), (5, "P", "b"),
+                                        (6, "P", "c")]
+    assert {"a", "c"} <= read(source)
+    assert "b" not in read(source)
