@@ -152,10 +152,9 @@ def cmd_analyze(args):
     elif args.what == "ctmc":
         from . import ctmc as ctmcmod
         ccfg = _need(scenario, "ctmc", "scenario")
-        chain = ctmcmod.build_ctmc(
-            [(a, b, float(r)) for a, b, r in ccfg["transitions"]],
-            absorbing=ccfg["absorbing"],
-            initial=ccfg.get("initial"))
+        chain = ctmcmod.build_ctmc(ccfg["transitions"],
+                                   absorbing=ccfg["absorbing"],
+                                   initial=ccfg.get("initial"))
         total, per_state, probs = ctmcmod.mean_time_to_absorption(chain)
         report.add("mtta", total, "hours", provenance="linear-solve")
         for state, p in sorted(probs.items(), key=lambda kv: str(kv[0])):

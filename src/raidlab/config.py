@@ -7,11 +7,13 @@ fixtures ship as data files under raidlab/fixtures and are addressable as
 presets.  Report formats and paths come from the command line alone.
 
 Loading, validation and reports need no numpy: each ``*_from_config``
-imports the layer it builds from when it is called.
+imports the layer it builds from when it is called.  Nor do they need
+jsonschema: ``validate_scenario`` implements the keywords the schema uses,
+with jsonschema's messages, and rejects a schema that uses any other; the
+test suite checks it against jsonschema.
 """
 
 import csv
-import functools
 import io
 import json
 from dataclasses import dataclass, field
@@ -33,20 +35,145 @@ SCENARIO_SCHEMA = json.loads(
     resources.files("raidlab").joinpath("scenario.schema.json").read_text())
 
 
-@functools.cache
-def _validator():
-    # jsonschema loads only when a scenario is validated; the schema itself
-    # is checked by the test suite, not on every call
-    import jsonschema
-    return jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
+# Annotation keywords the schema may carry; they constrain nothing.
+_ANNOTATIONS = {"$schema", "title"}
+
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "number": lambda v: (isinstance(v, (int, float))
+                         and not isinstance(v, bool)),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                          or isinstance(v, float) and v.is_integer()),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+}
+
+
+def _is(value, name):
+    try:
+        return _TYPES[name](value)
+    except KeyError:
+        raise ValueError("schema type %r is not supported" % (name,)) from None
+
+
+def _type(types, value, path, schema):
+    names = [types] if isinstance(types, str) else types
+    if not any(_is(value, name) for name in names):
+        yield path, "%r is not of type %s" % (value,
+                                              ", ".join(map(repr, names)))
+
+
+def _enum(members, value, path, schema):
+    # with string members, JSON equality is ==, as jsonschema's `equal` has it
+    if not all(isinstance(m, str) for m in members):
+        raise ValueError("only enums of strings are supported")
+    if value not in members:
+        yield path, "%r is not one of %r" % (value, members)
+
+
+def _bound(breaks, text):
+    def check(limit, value, path, schema):
+        if _is(value, "number") and breaks(value, limit):
+            yield path, "%r is %s of %r" % (value, text, limit)
+    return check
+
+
+def _min_items(least, value, path, schema):
+    if isinstance(value, list) and len(value) < least:
+        yield path, "%r %s" % (value, "should be non-empty" if least == 1
+                               else "is too short")
+
+
+def _max_items(most, value, path, schema):
+    if isinstance(value, list) and len(value) > most:
+        yield path, "%r %s" % (value, "is expected to be empty" if most == 0
+                               else "is too long")
+
+
+def _items(sub, value, path, schema):
+    if isinstance(value, list):
+        for i in range(len(schema.get("prefixItems", ())), len(value)):
+            yield from _errors(sub, value[i], path + (i,))
+
+
+def _prefix_items(subs, value, path, schema):
+    if isinstance(value, list):
+        for i, (item, sub) in enumerate(zip(value, subs)):
+            yield from _errors(sub, item, path + (i,))
+
+
+def _required(names, value, path, schema):
+    if isinstance(value, dict):
+        for name in names:
+            if name not in value:
+                yield path, "%r is a required property" % (name,)
+
+
+def _properties(subs, value, path, schema):
+    if isinstance(value, dict):
+        for name, sub in subs.items():
+            if name in value:
+                yield from _errors(sub, value[name], path + (name,))
+
+
+def _additional_properties(allowed, value, path, schema):
+    if allowed is not False:
+        raise ValueError("only additionalProperties: false is supported")
+    if isinstance(value, dict):
+        known = schema.get("properties", {})
+        extra = sorted((k for k in value if k not in known), key=str)
+        if extra:
+            yield path, ("Additional properties are not allowed (%s %s "
+                         "unexpected)" % (", ".join(map(repr, extra)),
+                                          "was" if len(extra) == 1
+                                          else "were"))
+
+
+_KEYWORDS = {
+    "type": _type,
+    "enum": _enum,
+    "minimum": _bound(lambda v, lim: v < lim, "less than the minimum"),
+    "maximum": _bound(lambda v, lim: v > lim, "greater than the maximum"),
+    "exclusiveMinimum": _bound(lambda v, lim: v <= lim,
+                               "less than or equal to the minimum"),
+    "exclusiveMaximum": _bound(lambda v, lim: v >= lim,
+                               "greater than or equal to the maximum"),
+    "minItems": _min_items,
+    "maxItems": _max_items,
+    "items": _items,
+    "prefixItems": _prefix_items,
+    "required": _required,
+    "properties": _properties,
+    "additionalProperties": _additional_properties,
+}
+
+
+def _errors(schema, value, path):
+    """(path, message) of each way value breaks schema, in the order and
+    wording of jsonschema's Draft 2020-12 validator: keyword by keyword in
+    the schema's order, depth first."""
+    for key, arg in schema.items():
+        if key in _ANNOTATIONS:
+            continue
+        try:
+            check = _KEYWORDS[key]
+        except KeyError:
+            raise ValueError("schema keyword %r is not supported"
+                             % (key,)) from None
+        yield from check(arg, value, path, schema)
 
 
 def validate_scenario(doc):
-    from jsonschema.exceptions import best_match
-    err = best_match(_validator().iter_errors(doc))
-    if err is not None:
-        raise SchemaError("%s (at %s)" % (err.message,
-                                          "/".join(str(p) for p in err.path)))
+    """doc, if it satisfies the scenario schema; otherwise a SchemaError
+    naming the error jsonschema's best_match would pick: among the errors
+    with the shortest path, the first with the greatest path."""
+    best = max(_errors(SCENARIO_SCHEMA, doc, ()),
+               key=lambda err: (-len(err[0]), err[0]), default=None)
+    if best is not None:
+        path, message = best
+        raise SchemaError("%s (at %s)" % (message, "/".join(map(str, path))))
     return doc
 
 

@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-import numpy as np
-
 
 @dataclass
 class LayoutMap:
@@ -176,6 +174,9 @@ def nrp_layout(n, g, rows=None, seed=0, perms=None, parity_position="last"):
     start row; explicit `perms` override them (cycled as needed).
     Permutation semantics: the strip in old column j moves to column P[j].
     """
+    # numpy loads only where permutations are drawn, so that checking a
+    # block design does not pay for it
+    import numpy as np
     if not 2 <= g <= n:
         raise ValueError("need N >= G >= 2")
     k = math.gcd(n, g)
@@ -361,6 +362,7 @@ def copysets(scheme):
     permutations (exact scatter width).  Explicit permutations must each
     order the nodes 0..N-1 and keep partners disjoint, or ValueError.
     """
+    import numpy as np
     n, r, s = scheme.nodes, scheme.replication, scheme.scatter_width
     if scheme.scheme == "random":
         out = set()

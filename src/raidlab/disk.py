@@ -8,6 +8,7 @@ distances; conversions happen at the boundary.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,10 @@ class MomentSet:
     m3: float = 0.0
 
     def __post_init__(self):
-        if self.m1 < 0 or self.m2 < self.m1 ** 2 * (1 - 1e-9):
+        floor = self.m1 ** 2 * (1 - 1e-9)
+        if floor < sys.float_info.min:
+            floor = 0.0  # m1**2 is subnormal, and m2 may have underflowed
+        if self.m1 < 0 or self.m2 < floor:
             raise ValueError("inconsistent moments m1=%g m2=%g" % (self.m1, self.m2))
 
     @property

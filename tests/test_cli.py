@@ -127,6 +127,18 @@ class TestImportHygiene:
         assert after_import == []
         assert "scipy.stats" not in after_run
 
+    @pytest.mark.parametrize("args", [
+        ["analyze", "queueing", "--preset", "cheetah"],
+        ["code", "check", "--preset", "was-lrc"],
+        ["sim", "reliability", "--preset", "resch-row2", "--reps", "200",
+         "--seed", "1"],
+    ], ids=["analyze", "code", "sim"])
+    def test_preset_commands_skip_jsonschema(self, tmp_path, args):
+        # a preset is checked against the schema without jsonschema
+        code, _, after_run = heavy_modules(args + ["--out", "r"], tmp_path)
+        assert code == 0
+        assert "jsonschema" not in after_run
+
     def test_import_raidlab_loads_no_layer(self, tmp_path):
         loaded = probe("import json, sys, raidlab\n"
                        "print(json.dumps(sorted(sys.modules)))", [], tmp_path)
@@ -138,7 +150,8 @@ class TestImportHygiene:
          ["numpy", "raidlab.ctmc"]),
         (["analyze", "mttdl", "--config", "chen.json"], ["numpy"]),
         (["layout", "verify", "--kind", "bibd-10-4"],
-         ["raidlab.codes", "raidlab.gf", "raidlab.sim", "raidlab.ctmc"]),
+         ["raidlab.codes", "raidlab.gf", "raidlab.sim", "raidlab.ctmc",
+          "numpy"]),
         (["code", "check", "--builder", "rdp", "--param", "p=5"],
          ["raidlab.sim", "raidlab.ctmc", "raidlab.reliability"]),
     ], ids=["compare-shortcut", "analyze-mttdl-chen", "layout-verify-bibd",
@@ -404,6 +417,26 @@ class TestMoreCommands:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err == {"error": "domain", "detail": "rate %s on 'a' -> 'b' "
                        "is not finite and >= 0" % shown}
+
+    @pytest.mark.parametrize("ctmc,detail", [
+        ({"transitions": [[["a"], "b", 0.5]], "absorbing": ["b"]},
+         "['a'] is not of type 'string', 'integer' "
+         "(at ctmc/transitions/0/0)"),
+        ({"transitions": [["a", "b", "0.5"]], "absorbing": ["b"]},
+         "'0.5' is not of type 'number' (at ctmc/transitions/0/2)"),
+        ({"transitions": [["a", "b", 0.5]], "absorbing": [["b"]]},
+         "['b'] is not of type 'string', 'integer' (at ctmc/absorbing/0)"),
+    ], ids=["list-label", "string-rate", "list-absorbing"])
+    def test_analyze_ctmc_mistyped_transition_exit_2(self, tmp_path, capsys,
+                                                     ctmc, detail):
+        # a list label used to end in "unhashable type" (exit 1), and a
+        # string rate used to be converted and run
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"version": "1", "ctmc": ctmc}))
+        assert run_cli(["analyze", "ctmc", "--config", str(cfg)],
+                       tmp_path) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"error": "schema", "detail": detail}
 
     def test_analyze_lse_certain_sector_error(self, tmp_path):
         # p_sector = 1 makes P_uf = 1, not a math domain error

@@ -185,6 +185,15 @@ class TestMomentAlgebra:
         assert m.variance == pytest.approx(100.0)
         assert abs(m.variance - (m.m2 - m.m1 ** 2)) < 1e-9
 
+    def test_moment_consistency_check(self):
+        # m2 may underflow to 0 where m1**2 is subnormal; below that scale
+        # a negative m1 or m2 is still wrong, and above it m2 < m1**2 is
+        assert MomentSet(1e-160, 0.0).m2 == 0.0
+        for m1, m2 in ((-1e-200, 0.0), (1e-170, -1e-300), (1.0, 0.5),
+                       (1e-150, 0.5e-300)):
+            with pytest.raises(ValueError, match="inconsistent moments"):
+                MomentSet(m1, m2)
+
     def test_sum_of_independent_oracle(self):
         rng = np.random.default_rng(3)
         x = rng.exponential(2.0, 2_000_000)

@@ -4,7 +4,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from raidlab import builders, codes, gf
 from raidlab.disk import DiskProfile, seek_distance_pmf, seek_time_moments, \
@@ -32,6 +32,9 @@ class TestPmfProperties:
         assert (pmf.probs >= 0).all()
 
     @given(profiles, st.floats(min_value=0.1, max_value=5.0))
+    @example(DiskProfile(cylinders=7, rotation_time=8.33,
+                         seek_char=(0.0, 4.052378061844374e-162),
+                         no_move_prob=None), 0.5)
     @settings(max_examples=40, deadline=None)
     def test_seek_moment_scaling(self, prof, alpha):
         pmf = seek_distance_pmf(prof)
