@@ -152,9 +152,17 @@ def cmd_analyze(args):
     elif args.what == "ctmc":
         from . import ctmc as ctmcmod
         ccfg = _need(scenario, "ctmc", "scenario")
+        initial = ccfg.get("initial")
+        if initial is not None:
+            # JSON object keys are strings: a key that is no label, but
+            # spells an integer label in decimal, names that integer label
+            labels = {x for t in ccfg["transitions"] for x in t[:2]}
+            ints = {str(x): x for x in labels if isinstance(x, int)}
+            initial = {k if k in labels else ints.get(k, k): p
+                       for k, p in initial.items()}
         chain = ctmcmod.build_ctmc(ccfg["transitions"],
                                    absorbing=ccfg["absorbing"],
-                                   initial=ccfg.get("initial"))
+                                   initial=initial)
         total, per_state, probs = ctmcmod.mean_time_to_absorption(chain)
         report.add("mtta", total, "hours", provenance="linear-solve")
         for state, p in sorted(probs.items(), key=lambda kv: str(kv[0])):

@@ -489,7 +489,7 @@ def recoverable_sets(code, granularity="symbol", budget=DEFAULT_BUDGET):
     return masks
 
 
-def classify_array_code(code, n, m, r, s, budget=DEFAULT_BUDGET):
+def classify_array_code(code, n, m, r, s):
     """Classify as PMDS, SD or neither.
 
     PMDS: any m erased blocks per row plus any s more anywhere are
@@ -524,7 +524,7 @@ def classify_array_code(code, n, m, r, s, budget=DEFAULT_BUDGET):
     }
     holds = {}
     for name, (tests, levels) in checks.items():
-        if tests > budget:
+        if tests > DEFAULT_BUDGET:
             raise BudgetExceeded("%s check needs %d tests" % (name, tests))
         holds[name] = all(map(all, _tree(code, levels, by_str, s)))
     if holds["PMDS"] and not holds["SD"]:
@@ -632,14 +632,14 @@ def _greedy_plan(code, erased, relevant):
                       False)
 
 
-def verify_plan(code, erasures, reads, granularity="symbol"):
+def verify_plan(code, erasures, reads):
     """Check that reading `reads` suffices to recover `erasures`.
 
     The erased values are determined by the read set alone iff adding every
     unread survivor as an extra unknown does not blur them:
     rank(H[:, E + U]) == |E| + rank(H[:, U]).
     """
-    erased = _expand(code, erasures, granularity)
+    erased = _expand(code, erasures, "symbol")
     unread = ((1 << code.n) - 1) & ~erased & ~_expand(code, reads, "symbol")
     h = code._H
     lhs = gf.rank(code.field, h[:, _bits(erased | unread)])

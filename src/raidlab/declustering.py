@@ -165,7 +165,7 @@ def _splitmix64(x):
     return z ^ (z >> 31)
 
 
-def nrp_layout(n, g, rows=None, seed=0, perms=None, parity_position="last"):
+def nrp_layout(n, g, rows=None, seed=0, perms=None):
     """Nearly-random permutation layout.
 
     Consecutive groups are laid row-major, then columns are permuted in
@@ -184,7 +184,7 @@ def nrp_layout(n, g, rows=None, seed=0, perms=None, parity_position="last"):
         rows = max(k, math.lcm(n, g) // n)
     if rows % k:
         raise ValueError("rows must be a multiple of gcd(N,G)=%d" % k)
-    base = _initial_allocation(n, g, rows, parity_position)
+    base = _initial_allocation(n, g, rows)
     assignment = [[None] * n for _ in range(rows)]
     single = n % g == 0
     cached = None
@@ -215,7 +215,7 @@ def _distinct_disks(layout):
     return layout
 
 
-def shifted_layout(n, g, periods=1, parity_position=None):
+def shifted_layout(n, g, parity_position=None):
     """Shifted parity-group placement balancing parity across disks.
 
     Groups are laid consecutively; each successive segment of
@@ -230,7 +230,7 @@ def shifted_layout(n, g, periods=1, parity_position=None):
         parity_position = "first" if math.gcd(n, g) == 1 else "last"
     k_rows = math.lcm(n, g) // n
     variants = math.gcd(n, g)
-    rows = k_rows * variants * periods
+    rows = k_rows * variants
     base = _initial_allocation(n, g, rows, parity_position)
     assignment = [[None] * n for _ in range(rows)]
     for seg in range(rows // k_rows):
@@ -421,17 +421,13 @@ def _partners(n, groups):
     return partners
 
 
-def copyset_pdl(scheme, failed=None):
-    """Probability that `failed` simultaneous node failures lose data:
-    |copysets| / C(N, R) when failed == R (the canonical loss event).
-    Returned exactly as a Fraction."""
+def copyset_pdl(scheme):
+    """Probability that R simultaneous node failures lose data,
+    |copysets| / C(N, R) (the canonical loss event), returned exactly as a
+    Fraction, with the number of copysets.  sim_copyset_loss covers other
+    failure counts."""
     from fractions import Fraction
     r = scheme.replication
-    if failed is None:
-        failed = r
-    if failed != r:
-        raise ValueError("exact form is defined for failed == R; "
-                         "use sim_copyset_loss for other counts")
     sets = copysets(scheme)
     return Fraction(len(sets), math.comb(scheme.nodes, r)), len(sets)
 

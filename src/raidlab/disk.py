@@ -57,11 +57,7 @@ class _RawMoments:
 class DiscreteDist(_RawMoments):
     """Finite distribution over nonnegative values (durations or distances)."""
 
-    def __init__(self, values, probs=None):
-        if probs is None:  # sequence of (value, probability) pairs
-            pairs = list(values)
-            values = [v for v, _ in pairs]
-            probs = [p for _, p in pairs]
+    def __init__(self, values, probs):
         self.values = np.asarray(values, dtype=float)
         self.probs = np.asarray(probs, dtype=float)
         if self.values.shape != self.probs.shape:
@@ -71,10 +67,6 @@ class DiscreteDist(_RawMoments):
             raise ValueError("probabilities sum to %.15g, not 1" % total)
         if (self.values < 0).any() or (self.probs < -1e-300).any():
             raise ValueError("negative value or probability")
-
-    @property
-    def support(self):
-        return tuple(zip(self.values.tolist(), self.probs.tolist()))
 
     def moment(self, i):
         return float(np.dot(self.probs, self.values ** i))
@@ -245,10 +237,9 @@ def seek_time_moments(pmf, seek_time_fn):
     return _weighted_moments(pmf.probs, t)
 
 
-def seek_time_dist(profile, mode="uniform-cylinder"):
+def seek_time_dist(profile):
     """Seek time as a discrete distribution (exact transform carrier)."""
-    pmf = seek_distance_pmf(profile, mode)
-    return pmf.map(profile.seek_time)
+    return seek_distance_pmf(profile).map(profile.seek_time)
 
 
 def transfer_moments(profile, block_sectors):
@@ -267,7 +258,7 @@ def _weighted_moments(w, t):
     return MomentSet(float(w @ t), float(w @ t ** 2), float(w @ t ** 3))
 
 
-def service_time_moments(profile, block_sectors=8, mode="uniform-cylinder"):
+def service_time_moments(profile, block_sectors=8):
     """Moments of seek + latency + transfer for a random small-block access.
 
     Latency is uniform over a rotation (i-th moment T_rot^i / (i+1)); the
@@ -276,7 +267,7 @@ def service_time_moments(profile, block_sectors=8, mode="uniform-cylinder"):
     """
     if block_sectors < 1:
         raise ValueError("block_sectors must be >= 1")
-    s = seek_time_moments(seek_distance_pmf(profile, mode), profile.seek_time)
+    s = seek_time_moments(seek_distance_pmf(profile), profile.seek_time)
     l = Uniform(profile.rotation_time).moments()
     t = transfer_moments(profile, block_sectors)
     return sum_of_independent(s, l, t)

@@ -102,12 +102,12 @@ def mg1_response_mean(lam_ms, svc):
     return svc.m1 + lam_ms * svc.m2 / (2.0 * (1.0 - rho))
 
 
-def allocate_load(devices, total_rate, policy="mean-optimal", tol=1e-9):
+def allocate_load(devices, total_rate, policy="mean-optimal"):
     """Split a Poisson stream over heterogeneous M/G/1 devices.
 
     mean-optimal minimizes sum (lam_i/Lambda) R_i (devices may get zero);
     min-max equalizes response times over the fastest devices that are used.
-    Rates returned in 1/s, summing to total_rate within tol.
+    Rates returned in 1/s, summing to total_rate; roots are found to 1e-9.
     """
     from scipy.optimize import brentq
     lam_total = total_rate / MS_PER_S
@@ -137,7 +137,7 @@ def allocate_load(devices, total_rate, policy="mean-optimal", tol=1e-9):
                 return 0.0
             hi = (1.0 - 1e-12) / dev.m1
             return brentq(lambda x: marginal(dev, x) - eta, 0.0, hi,
-                          xtol=tol, rtol=1e-14)
+                          xtol=1e-9, rtol=1e-14)
 
         lo = min(marginal(d, 0.0) for d in devices)
         hi = lo + 1.0
@@ -149,7 +149,7 @@ def allocate_load(devices, total_rate, policy="mean-optimal", tol=1e-9):
 
     while excess(hi) < 0:
         hi *= 2.0  # rate_at tends to device capacity, so this terminates
-    x_star = brentq(excess, lo, hi, xtol=tol, rtol=1e-14)
+    x_star = brentq(excess, lo, hi, xtol=1e-9, rtol=1e-14)
     rates = [rate_at(d, x_star) for d in devices]
     # absorb the root-finder residual so the split sums exactly
     total = sum(rates)
@@ -307,11 +307,11 @@ def gim1_erlang2_wait(arrival_rate, service_rate):
     return sigma / (1.0 - sigma) / service_rate
 
 
-def satf_service_time(x_fcfs, queue_length, exponent=0.2):
-    """Empirical shortest-access-time-first speedup: x = x_fcfs / q^p."""
+def satf_service_time(x_fcfs, queue_length):
+    """Empirical shortest-access-time-first speedup: x = x_fcfs / q^0.2."""
     if queue_length < 1:
         raise ValueError("queue length must be >= 1")
-    return x_fcfs / queue_length ** exponent
+    return x_fcfs / queue_length ** 0.2
 
 
 def ioe(kbytes, profile=None, table=None):

@@ -54,8 +54,8 @@ def vacation_stats(v1, v2, arrival_rate):
     if arrival_rate < 0:
         raise ValueError("arrival rate must be >= 0")
     lam = arrival_rate / MS_PER_S
-    m1 = v1.moments() if hasattr(v1, "moments") else v1
-    m2_ = v2.moments() if hasattr(v2, "moments") else v2
+    m1 = v1.moments()
+    m2_ = v2.moments()
     lst1 = transform_eval(v1, lam)
     lst2 = transform_eval(v2, lam)
     if lam == 0.0 or lst2 >= 1.0:
@@ -103,9 +103,7 @@ def _vacation_dists(profile, cfg):
     """Type-1 (seek + RU read) and type-2 (RU read) vacation distributions."""
     ru_time = cfg.ru_fraction * profile.track_time()
     v2 = Deterministic(ru_time)
-    seek = diskmod.seek_time_dist(profile)
-    v1 = diskmod.DiscreteDist(seek.values + ru_time, seek.probs)
-    return v1, v2
+    return diskmod.seek_time_dist(profile).shift(ru_time), v2
 
 
 def _tracks(profile, cfg):
@@ -115,7 +113,7 @@ def _tracks(profile, cfg):
                      / cfg.ru_fraction))
 
 
-def rebuild_time_vsm(profile, workload, cfg, svc=None, mode="staged"):
+def rebuild_time_vsm(profile, workload, cfg, mode="staged"):
     """Rebuild time by cycle counting, in ms.
 
     staged: the degraded load trajectory is discretized in cfg.stages steps
@@ -126,8 +124,7 @@ def rebuild_time_vsm(profile, workload, cfg, svc=None, mode="staged"):
     The unit of work is a track-sized read; coding at sub-strip granularity
     only changes what a unit means, not the cycle arithmetic.
     """
-    if svc is None:
-        svc = diskmod.service_time_moments(profile, workload.request_sectors)
+    svc = diskmod.service_time_moments(profile, workload.request_sectors)
     n_units = _tracks(profile, cfg)
     v1, v2 = _vacation_dists(profile, cfg)
     sequential = n_units * v2.value
@@ -152,8 +149,7 @@ def rebuild_time_vsm(profile, workload, cfg, svc=None, mode="staged"):
     return total
 
 
-def rebuild_time_bandwidth(profile, workload, cfg, svc=None,
-                           force_single_ru=False):
+def rebuild_time_bandwidth(profile, workload, cfg, force_single_ru=False):
     """Rebuild time from the mean rebuild transfer rate, in ms.
 
     b_d = n_RU * s_RU / (T_dc + x_seek + x_lat + n_RU * x_RU) with the run
@@ -161,8 +157,7 @@ def rebuild_time_bandwidth(profile, workload, cfg, svc=None,
     plus latency (1 + f^2) T_rot / 2 for an RU of track fraction f.
     force_single_ru=True reproduces the upper-bound variant.
     """
-    if svc is None:
-        svc = diskmod.service_time_moments(profile, workload.request_sectors)
+    svc = diskmod.service_time_moments(profile, workload.request_sectors)
     lam, _ = offered_load(workload.arrival_rate, svc.m1)
     f = cfg.ru_fraction
     t_rot = profile.rotation_time

@@ -115,16 +115,14 @@ def chen_mttdl(n, k, mttf, mttr):
     return mttf ** (kappa + 1) / (falling_factorial(n, kappa + 1) * mttr ** kappa)
 
 
-def angus_mttdl(n, k_data, mttf, mttr, exact=True):
+def angus_mttdl(n, k_data, mttf, mttr):
     """Per-failure-repair formula; k_data is the data (surviving) count.
 
     MTTF^{m+1} / (k C(n,k) MTTR^m) * sum_{i<=m} C(n,i) (MTTR/MTTF)^i with
-    m = n - k_data; exact=False drops the correction sum.
+    m = n - k_data.
     """
     m = n - k_data
     lead = mttf ** (m + 1) / (k_data * math.comb(n, k_data) * mttr ** m)
-    if not exact:
-        return lead
     s = sum(math.comb(n, i) * (mttr / mttf) ** i for i in range(m + 1))
     return lead * s
 
@@ -385,24 +383,23 @@ def raid5_lse_chain(params, lse, p_seg):
     return ctmc.build_ctmc(edges, absorbing=["uf", "df"], initial={"ok": 1.0})
 
 
-def raid6_lse_chain(params, lse, p_seg, mu2=None):
+def raid6_lse_chain(params, lse, p_seg):
     """Double-parity chain: rebuild failure needs two coinciding segment
-    errors in degraded mode (rate mu1 P_recf) or one in critical mode (rate
-    mu2 P_uf); both failed disks rebuild concurrently back to normal."""
+    errors in degraded mode (rate mu P_recf) or one in critical mode (rate
+    mu P_uf); both failed disks rebuild concurrently back to normal."""
     n = params.disks
     delta = params.delta
-    mu1 = params.mu
-    mu2 = mu1 if mu2 is None else mu2
+    mu = params.mu
     p_recf = math.comb(n - 1, 2) * p_seg * p_seg
     puf_r = _at_least_one(lse.segments_per_disk, p_recf)
     puf2 = p_uf(lse, n, 2, p_seg)
     edges = [
         ("ok", "deg1", n * delta),
-        ("deg1", "ok", mu1 * (1.0 - puf_r)),
-        ("deg1", "uf", mu1 * puf_r),
+        ("deg1", "ok", mu * (1.0 - puf_r)),
+        ("deg1", "uf", mu * puf_r),
         ("deg1", "deg2", (n - 1) * delta),
-        ("deg2", "ok", mu2 * (1.0 - puf2)),
-        ("deg2", "uf", mu2 * puf2),
+        ("deg2", "ok", mu * (1.0 - puf2)),
+        ("deg2", "uf", mu * puf2),
         ("deg2", "df", (n - 2) * delta),
     ]
     from . import ctmc
@@ -499,35 +496,31 @@ def mirrored_reliability(org, n, r, clusters=2):
     return _survivable_sum(n, r, takewhile(bool, counts))
 
 
-def _ncr(n, r):
-    # C(n, r) that is 0 for n < 0 instead of raising: `compare shortcut --N`
-    # passes any int as n to the SHORTCUT_TERMS coefficients below
-    return math.comb(n, r) if n >= 0 else 0
-
-
 SHORTCUT_TERMS = {
-    # leading coefficient of 1 - R as a function of (N, c); power of epsilon
-    "raid5": (lambda n, c: _ncr(n, 2), 2),
-    "bm": (lambda n, c: n / 2.0, 2),
-    "cd": (lambda n, c: float(n), 2),
-    "grd": (lambda n, c: n * (n - 1) / 4.0, 2),
+    # leading coefficient of 1 - R as a function of N; power of epsilon
+    "raid5": (lambda n: math.comb(n, 2), 2),
+    "bm": (lambda n: n / 2.0, 2),
+    "cd": (lambda n: float(n), 2),
+    "grd": (lambda n: n * (n - 1) / 4.0, 2),
     # enumeration-exact variant: C(N,2) - 2 C(N/2,2) = N^2/4 fatal pairs
-    "grd_exact": (lambda n, c: n * n / 4.0, 2),
-    "id": (lambda n, c: n * (n / c - 1) / 2.0, 2),
-    "raid6": (lambda n, c: _ncr(n, 3), 3),
-    "lsi": (lambda n, c: _ncr(n, 3) - n / 2.0, 3),
-    "raid7": (lambda n, c: _ncr(n, 4), 4),
-    "sspiral": (lambda n, c: _ncr(n, 4) / 5.0, 4),
-    "raid1/5": (lambda n, c: 0.25 * n * n * (n - 1), 4),
-    "raid5/1": (lambda n, c: 0.5 * n * (n - 1), 4),
+    "grd_exact": (lambda n: n * n / 4.0, 2),
+    # c = 2 clusters
+    "id": (lambda n: n * (n / 2 - 1) / 2.0, 2),
+    "raid6": (lambda n: math.comb(n, 3), 3),
+    "lsi": (lambda n: math.comb(n, 3) - n / 2.0, 3),
+    "raid7": (lambda n: math.comb(n, 4), 4),
+    "sspiral": (lambda n: math.comb(n, 4) / 5.0, 4),
+    "raid1/5": (lambda n: 0.25 * n * n * (n - 1), 4),
+    "raid5/1": (lambda n: 0.5 * n * (n - 1), 4),
 }
 
 
-def shortcut_compare(orgs, n, eps, clusters=2):
+def shortcut_compare(orgs, n, eps):
     """Rank organizations by the leading term of 1 - R at unreliability eps.
 
     Returns [(org, coefficient, power, term value)] sorted most reliable
-    first (smallest leading term).
+    first (smallest leading term).  Raises ValueError when N is too small
+    for an organization, so that its leading coefficient is negative.
     """
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0,1)")
@@ -537,7 +530,10 @@ def shortcut_compare(orgs, n, eps, clusters=2):
             coeff_fn, power = SHORTCUT_TERMS[org]
         except KeyError:
             raise ValueError("no shortcut term for %r" % (org,))
-        coeff = coeff_fn(n, clusters)
+        coeff = coeff_fn(n)
+        if coeff < 0:
+            raise ValueError("%s has a negative leading coefficient %g at "
+                             "N = %d" % (org, coeff, n))
         rows.append((org, coeff, power, coeff * eps ** power))
     rows.sort(key=lambda r: r[3])
     return rows
@@ -610,18 +606,17 @@ def duplex_coverage_chain(delta, mu, coverage):
 # uneven parity aging
 
 
-def diffraid_aging(parity_shares, n=None):
+def diffraid_aging(parity_shares):
     """Pairwise aging-rate ratios for a parity split across n devices.
 
     a[i][j] = (p_i (n-1) + (100 - p_i)) / (p_j (n-1) + (100 - p_j)).
     """
-    weights = _aging_rates(parity_shares, n)
+    weights = _aging_rates(parity_shares)
     size = len(weights)
     return [[weights[i] / weights[j] for j in range(size)] for i in range(size)]
 
 
-def diffraid_replacement_ages(parity_shares, erasure_limit=10_000.0,
-                              iterations=400, tol=1e-12):
+def diffraid_replacement_ages(parity_shares, erasure_limit=10_000.0):
     """Iterated replacement simulation of an unevenly-aged array.
 
     Shares attach to age rank (oldest first).  The array runs until the
@@ -633,25 +628,24 @@ def diffraid_replacement_ages(parity_shares, erasure_limit=10_000.0,
     n = len(rates)
     ages = [0.0] * n
     prev = None
-    for _ in range(iterations):
+    for _ in range(400):
         dt = (erasure_limit - ages[0]) / rates[0]
         ages = [a + dt * r for a, r in zip(ages, rates)]
         survivors = ages[1:]
         ages = sorted(survivors + [0.0], reverse=True)
         if prev is not None and all(
-                abs(a - b) <= tol * max(1.0, abs(b))
+                abs(a - b) <= 1e-12 * max(1.0, abs(b))
                 for a, b in zip(survivors, prev)):
             return survivors
         prev = survivors
     return prev
 
 
-def _aging_rates(parity_shares, n=None):
+def _aging_rates(parity_shares):
     """Aging rate of each device, p (n-1) + (100 - p) for its parity share p
-    in percent (n defaults to the share count); the shares must sum to 100."""
+    in percent, n being the share count; the shares must sum to 100."""
     shares = list(parity_shares)
-    if n is None:
-        n = len(shares)
+    n = len(shares)
     if abs(sum(shares) - 100.0) > 1e-9:
         raise ValueError("parity shares must sum to 100")
     return [p * (n - 1) + (100.0 - p) for p in shares]

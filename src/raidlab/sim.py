@@ -179,17 +179,17 @@ def sim_generic_mttdl(n, delta, mu, regime="angus", tolerance=None,
     return SimReport(*confidence(times, level), level, reps, seed)
 
 
-def sim_code_mttdl(code, delta, mu, regime="angus", granularity="column",
-                   reps=2000, seed=0, level=0.95):
+def sim_code_mttdl(code, delta, mu, regime="angus", reps=2000, seed=0,
+                   level=0.95):
     """MTTDL of a device array protected by an erasure code: data is lost
-    at the first failure whose failed units (columns, or symbols) the code
-    cannot recover.  The event loop looks each failed set up in the code's
-    table of recoverable sets, built once before any draw; a table over
-    the rank-test budget raises BudgetExceeded."""
+    at the first failure whose failed columns the code cannot recover.
+    The event loop looks each failed set up in the code's table of
+    recoverable sets, built once before any draw; a table over the
+    rank-test budget raises BudgetExceeded."""
     from .codes import recoverable_sets
     _check_model(delta, mu, regime)
-    table = recoverable_sets(code, granularity)
-    n = len(code.columns()) if granularity == "column" else code.n
+    table = recoverable_sets(code, "column")
+    n = len(code.columns())
     return _loop_mttdl((n, delta, mu, regime, table[-1].bit_count(), table),
                        reps, seed, level)
 
@@ -334,7 +334,7 @@ def _enough(count, n_customers, warmup, n_batches):
 
 
 def sim_queue(model, params, n_customers=200_000, warmup=10_000, seed=0,
-              level=0.95, n_batches=20):
+              level=0.95):
     """Event-driven single-server (or fork-join) queue statistics.
 
     model: "mg1" | "mg1_priority" | "fj" | "vsm" | "pcm" | "gim1_erlang2".
@@ -345,11 +345,12 @@ def sim_queue(model, params, n_customers=200_000, warmup=10_000, seed=0,
     - every arrival rate is > 0;
     - stability: rho < 1, with rho the arrival rate times the mean service
       time, summed over both classes for mg1_priority;
-    - enough customers: n_customers - warmup >= n_batches, so every batch
-      mean has a customer.  mg1_priority applies it per class, to what a
-      class keeps after dropping its share of the warm-up.
+    - enough customers: n_customers - warmup >= n_batches = 20, so every
+      batch mean has a customer.  mg1_priority applies it per class, to
+      what a class keeps after dropping its share of the warm-up.
     """
     params = _QueueParams(model, params)
+    n_batches = 20
     if model == "mg1_priority":
         rho = (params["arrival_rate_high"] * spec_mean(params["service_high"])
                + params["arrival_rate_low"] * spec_mean(params["service_low"]))

@@ -184,6 +184,18 @@ class TestCommands:
         doc = json.loads((tmp_path / "cmp.json").read_text())
         assert any("sspiral" in r["metric"] for r in doc["rows"])
 
+    @pytest.mark.parametrize("n,detail", [
+        ("-3", "n must be a non-negative integer"),
+        ("1", "id has a negative leading coefficient -0.25 at N = 1"),
+    ], ids=["N-3", "N1"])
+    def test_compare_shortcut_negative_terms_exit_3(self, tmp_path, capsys,
+                                                     n, detail):
+        # such N used to be ranked, negative unreliabilities and all
+        assert run_cli(["compare", "shortcut", "--N", n, "--eps", "0.025"],
+                       tmp_path) == 3
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"error": "domain", "detail": detail}
+
     def test_sim_reliability_preset(self, tmp_path):
         code = run_cli(["sim", "reliability", "--preset", "resch-row2",
                         "--reps", "4000", "--seed", "42", "--out", "r2"],
@@ -402,6 +414,20 @@ class TestMoreCommands:
         doc = json.loads((tmp_path / "ch.json").read_text())
         metrics = {r["metric"]: r["value"] for r in doc["rows"]}
         assert metrics["mtta"] == pytest.approx(2.0)
+
+    def test_analyze_ctmc_integer_labels_initial(self, tmp_path):
+        # JSON object keys are strings: "1" names the integer label 1
+        cfg = tmp_path / "ints.json"
+        cfg.write_text(json.dumps({
+            "version": "1",
+            "ctmc": {"transitions": [[0, 1, 0.5], [1, 2, 0.25], [1, 0, 1.0]],
+                     "absorbing": [2], "initial": {"1": 1.0}},
+        }))
+        assert run_cli(["analyze", "ctmc", "--config", str(cfg),
+                        "--out", "ints"], tmp_path) == 0
+        doc = json.loads((tmp_path / "ints.json").read_text())
+        metrics = {r["metric"]: r["value"] for r in doc["rows"]}
+        assert metrics["mtta"] == pytest.approx(12.0, rel=1e-12)
 
     @pytest.mark.parametrize("rate,shown", [("NaN", "nan"),
                                             ("Infinity", "inf")])

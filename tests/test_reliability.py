@@ -1,18 +1,19 @@
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 from raidlab import builders, codes
-from raidlab.ctmc import mean_time_to_absorption
+from raidlab.ctmc import mean_time_to_absorption, reliability_curve
 from raidlab.reliability import (
     LseParams, PlacementParams, ReliabilityParams, angus_mttdl,
     birth_death_mttdl, chen_mttdl, diffraid_aging, diffraid_replacement_ages,
     eafdl, epsilon_from_horizon, iliadis_raid51_mttdl, mirrored_coefficients,
     mirrored_reliability, mttdl_with_lse, p_uf, pseg, raid15_mttdl,
     raid5_closed_form, raid5_chain, raid_reliability_no_repair, scrub_model,
-    shortcut_compare, tmr, xin_raid51_mttdl,
+    shortcut_compare, tmr, tmr_chain, xin_raid51_mttdl,
 )
 
 
@@ -164,6 +165,16 @@ class TestLse:
         lead = 128 * 127 / 2 * lse.p_sector ** 2
         assert exact == pytest.approx(lead, rel=1e-3)
 
+    def test_pseg_rs_is_the_binomial_tail(self):
+        # RS with m checks loses a segment to m + 1 or more sector errors
+        lse = LseParams(p_sector=1e-3, length=16, interleaves=2)
+        p = Fraction(lse.p_sector)
+        tail = sum(math.comb(16, j) * p ** j * (1 - p) ** (16 - j)
+                   for j in range(3, 17))
+        assert float(tail) == 5.545661280913301e-07
+        assert pseg("rs", "independent", lse) == pytest.approx(float(tail),
+                                                              rel=1e-12)
+
     def test_puf_table_values(self):
         lse = self.fixture()
         p_none = p_uf(lse, 8, 1, pseg("none", "independent", lse))
@@ -311,6 +322,19 @@ class TestShortcut:
         assert ranked.index("bm") < ranked.index("cd") < ranked.index("grd")
         assert ranked[-1] == "raid5" or ranked[-2] == "raid5"
 
+    @pytest.mark.parametrize("org,n", [("bm", -3), ("cd", -3), ("id", 1),
+                                       ("lsi", 1)])
+    def test_negative_coefficient_raises(self, org, n):
+        with pytest.raises(ValueError, match="%s has a negative leading "
+                                             "coefficient .* at N = %d"
+                                             % (org, n)):
+            shortcut_compare([org], n, 0.025)
+
+    def test_negative_n_raises_for_binomial_terms(self):
+        for org in ("raid5", "raid6", "lsi", "raid7", "sspiral"):
+            with pytest.raises(ValueError):
+                shortcut_compare([org], -3, 0.025)
+
 
 class TestTmr:
     def test_mttf_values(self):
@@ -330,6 +354,14 @@ class TestTmr:
         assert r(tm) == pytest.approx(simplex_r, abs=1e-12)
         assert r(tm * 0.5) > math.exp(-delta * tm * 0.5)
         assert r(tm * 1.5) < math.exp(-delta * tm * 1.5)
+
+    def test_simplex_curve_matches_chain(self):
+        delta = 1e-3
+        times = [0.0, 10.0, 500.0, 2000.0, 1e4]
+        closed = tmr(delta, "tmr_simplex")["reliability"]
+        chain = reliability_curve(tmr_chain(delta, "tmr_simplex"), times)
+        assert [closed(t) for t in times] == pytest.approx(list(chain),
+                                                           rel=1e-12)
 
     def test_early_coefficients_and_ranking(self):
         a = tmr(1e-3, "tmr")["early_coefficient"]
