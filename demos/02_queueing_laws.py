@@ -11,8 +11,8 @@ import numpy as np
 from raidlab.disk import MomentSet, cheetah_15k5, service_time_moments
 from raidlab.queueing import (allocate_load, forkjoin_response,
                               gim1_erlang2_wait, harmonic, mg1_wait,
-                              mg1_response_mean, mm1_rate_bounds, response_cv,
-                              response_moments, satf_service_time)
+                              mm1_rate_bounds, response_cv, response_moments,
+                              satf_service_time)
 
 # %% Waits explode as utilization approaches one.
 svc = service_time_moments(cheetah_15k5())
@@ -35,7 +35,7 @@ devices = [MomentSet.exponential(5.0), MomentSet.exponential(10.0),
            MomentSet.exponential(20.0)]
 for policy in ("mean-optimal", "min-max"):
     rates = allocate_load(devices, 200.0, policy)
-    resp = [mg1_response_mean(r / 1000.0, d) for r, d in zip(rates, devices)]
+    resp = [mg1_wait(r, d).response for r, d in zip(rates, devices)]
     print(policy, " rates", ["%.1f" % r for r in rates],
           " responses", ["%.1f" % r for r in resp])
 

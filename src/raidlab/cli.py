@@ -2,7 +2,8 @@
 simulations or enumerations, and emit machine-readable reports.
 
 Exit codes: 0 success, 2 schema violation, 3 domain error, 4 enumeration
-budget exceeded.  The seed defaults to --seed, then RAIDLAB_SEED, then 0.
+budget exceeded.  A model is passed only what the flags and the scenario
+give, so its own defaults hold where they say nothing.
 
 Each command imports only the layers it runs, so a closed form does not pay
 for numpy and a layout check does not pay for the code enumerator.
@@ -20,20 +21,20 @@ from .config import (DomainError, Report, SchemaError, code_from_config,
                      workload_from_config)
 
 
-def _seed(args, scenario):
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("RAIDLAB_SEED")
-    if env is not None:
-        return int(env)
-    sim_cfg = scenario.get("sim") or {}
-    return int(sim_cfg.get("seed", 0))
+def _report(args, scenario, section):
+    """The command's report.  The run's seed is --seed, then RAIDLAB_SEED,
+    then the seed of the command's section (sim or layout), then 0."""
+    seed = args.seed
+    if seed is None:
+        seed = int(os.environ.get("RAIDLAB_SEED", section.get("seed", 0)))
+    return Report(scenario=scenario, command="%s %s" % (args.cmd, args.what),
+                  seed=seed)
 
 
 def _scenario(args):
-    if getattr(args, "config", None):
+    if args.config:
         return load_scenario(args.config)
-    if getattr(args, "preset", None):
+    if args.preset:
         return load_preset(args.preset)
     return {"version": "1"}
 
@@ -45,6 +46,11 @@ def _need(cfg, key, where):
         return cfg[key]
     except KeyError:
         raise DomainError("%s needs %r" % (where, key)) from None
+
+
+def _given(cfg, **keys):
+    """{parameter: cfg[key]} for each parameter=key whose key cfg gives."""
+    return {param: cfg[key] for param, key in keys.items() if key in cfg}
 
 
 def _params_from_config(cfg):
@@ -62,8 +68,7 @@ def _params_from_config(cfg):
 
 def cmd_analyze(args):
     scenario = _scenario(args)
-    report = Report(scenario=scenario, command="analyze %s" % args.what,
-                    seed=_seed(args, scenario))
+    report = _report(args, scenario, {})
     if args.what in ("queueing", "rebuild"):
         profile = profile_from_config(scenario.get("profile"))
         workload = workload_from_config(_need(scenario, "workload",
@@ -95,9 +100,9 @@ def cmd_analyze(args):
         t_bw = rbmod.rebuild_time_bandwidth(profile, workload, cfg)
         report.add("rebuild_time_bandwidth", t_bw / 3.6e6, "hours",
                    provenance="transfer-rate")
-        incr = rbmod.degraded_load_increase(max(scenario.get("reliability", {})
-                                                .get("disks", 8), 3),
-                                            workload.read_fraction)
+        incr = rbmod.degraded_load_increase(
+            scenario.get("reliability", {}).get("disks", 8),
+            workload.read_fraction)
         report.add("degraded_load_increase", incr, "")
     elif args.what == "mttdl":
         from . import reliability as rel
@@ -171,8 +176,6 @@ def cmd_analyze(args):
         for t, r_t in zip(times, ctmcmod.reliability_curve(chain, times)):
             report.add("reliability[t=%g]" % t, r_t, "",
                        provenance="uniformization")
-    else:
-        raise DomainError("unknown analysis %r" % (args.what,))
     return report
 
 
@@ -194,15 +197,13 @@ def cmd_code(args):
         ccfg = {"builder": args.builder, "params": params}
         if args.erasures:
             ccfg["erasures"] = args.erasures
-        scenario = dict(scenario)
-        scenario["code"] = ccfg
-    ccfg = scenario.get("code")
-    if not ccfg:
-        raise DomainError("no code given (use --builder or a config)")
+        scenario = dict(scenario, code=ccfg)
+    elif args.param or args.erasures:
+        raise DomainError("--param and --erasures describe a --builder code")
+    ccfg = _need(scenario, "code", "scenario")
     code = code_from_config(ccfg)
     granularity = args.granularity or ccfg.get("granularity", "column")
-    report = Report(scenario=scenario, command="code %s" % args.what,
-                    seed=_seed(args, scenario))
+    report = _report(args, scenario, {})
     if args.what == "check":
         spec = ccfg.get("erasures", "all-pairs")
         all_k = ("all-pairs", "all-triples", "all-quads")
@@ -223,12 +224,10 @@ def cmd_code(args):
             if m[key] is not None:
                 report.add(key, m[key], "symbol reads",
                            provenance="repair-plan")
-    elif args.what == "tolerance":
+    else:
         t = codes.erasure_tolerance(code, granularity)
         report.add("tolerance", t, "%s erasures" % granularity,
                    provenance="enumeration")
-    else:
-        raise DomainError("unknown code command %r" % (args.what,))
     return report
 
 
@@ -236,40 +235,31 @@ def cmd_code(args):
 # layout
 
 
-def _layout_from_config(lcfg):
+def _layout_from_config(lcfg, seed):
     from . import declustering
-    kind = lcfg["kind"]
-    if kind == "bibd-10-4":
+    if lcfg["kind"] == "bibd-10-4":
         return declustering.bibd_10_4_2()
-    if kind == "nrp":
-        return declustering.nrp_layout(_need(lcfg, "disks", "layout"),
-                                       _need(lcfg, "group", "layout"),
-                                       rows=lcfg.get("rows"),
-                                       seed=lcfg.get("seed", 0))
-    if kind == "shifted":
-        return declustering.shifted_layout(_need(lcfg, "disks", "layout"),
-                                           _need(lcfg, "group", "layout"))
-    raise DomainError("unknown layout kind %r" % (kind,))
+    disks = _need(lcfg, "disks", "layout")
+    group = _need(lcfg, "group", "layout")
+    if lcfg["kind"] == "nrp":
+        return declustering.nrp_layout(disks, group, seed=seed,
+                                       **_given(lcfg, rows="rows"))
+    return declustering.shifted_layout(disks, group)
 
 
 def cmd_layout(args):
     from . import declustering
     scenario = _scenario(args)
     if args.kind:
-        scenario = dict(scenario)
-        scenario["layout"] = {"kind": args.kind}
-        if args.disks:
-            scenario["layout"]["disks"] = args.disks
-        if args.group:
-            scenario["layout"]["group"] = args.group
-        if args.seed is not None:
-            scenario["layout"]["seed"] = args.seed
-    lcfg = scenario.get("layout")
-    if not lcfg:
-        raise DomainError("no layout given")
-    layout = _layout_from_config(lcfg)
-    report = Report(scenario=scenario, command="layout %s" % args.what,
-                    seed=_seed(args, scenario))
+        flags = {"kind": args.kind, "disks": args.disks, "group": args.group,
+                 "seed": args.seed}
+        scenario = dict(scenario, layout={k: v for k, v in flags.items()
+                                          if v is not None})
+    elif (args.disks, args.group) != (None, None):
+        raise DomainError("--disks and --group describe a --kind layout")
+    lcfg = _need(scenario, "layout", "scenario")
+    report = _report(args, scenario, lcfg)
+    layout = _layout_from_config(lcfg, report.seed)
     if args.what == "gen":
         report.add("disks", layout.disks, "")
         report.add("group_size", layout.group_size, "")
@@ -283,20 +273,17 @@ def cmd_layout(args):
         if args.out_layout:
             with open(args.out_layout, "w") as fh:
                 json.dump(declustering.layout_to_json(layout), fh, indent=2)
-    elif args.what == "verify":
-        if lcfg["kind"] == "bibd-10-4":
-            rep = declustering.verify_bibd(layout)
-            report.add("ok", int(rep["ok"]), "", provenance="design-identities")
-            for key in ("n", "k", "L", "b", "r"):
-                report.add(key, rep[key], "")
-            for v in rep["violations"]:
-                report.add("violation", v, "")
-        else:
-            violations = layout.distinct_disk_violations()
-            report.add("ok", int(not violations), "",
-                       provenance="distinct-disk-check")
+    elif lcfg["kind"] == "bibd-10-4":
+        rep = declustering.verify_bibd(layout)
+        report.add("ok", int(rep["ok"]), "", provenance="design-identities")
+        for key in ("n", "k", "L", "b", "r"):
+            report.add(key, rep[key], "")
+        for v in rep["violations"]:
+            report.add("violation", v, "")
     else:
-        raise DomainError("unknown layout command %r" % (args.what,))
+        violations = layout.distinct_disk_violations()
+        report.add("ok", int(not violations), "",
+                   provenance="distinct-disk-check")
     return report
 
 
@@ -304,80 +291,59 @@ def cmd_layout(args):
 # sim
 
 
+# The sim section's keys that each sim kind reads, besides kind and seed;
+# after a colon, the parameter of the kind's model where its name differs
+_SIM_KEYS = {
+    "hraid": "nodes disks_per_node inter_tolerance intra_tolerance delta "
+             "gamma mu replications level",
+    "generic": "components:n delta mu regime tolerance replications:reps "
+               "level",
+    "resch-table": "regime replications:reps level",
+    "copyset": "replications:reps level",
+    "queue": "model params replications:n_customers level",
+}
+
+
+def _sim_run(args, scenario, scfg):
+    """(kind, keywords): the sim kind that the command and the sections
+    run, and its model's keywords from the sim section, --reps winning."""
+    if args.what == "queue":
+        runs, kinds = "sim queue", ["queue"]
+    elif "copyset" in scenario:
+        runs, kinds = "sim reliability with a copyset section", ["copyset"]
+    else:
+        runs = "sim reliability without a copyset section"
+        kinds = ["hraid", "generic", "resch-table"]
+    kind = scfg.get("kind", kinds[0])
+    if kind not in kinds:
+        raise DomainError("%s runs sim.kind %s, not %r"
+                          % (runs, " or ".join(map(repr, kinds)), kind))
+    params = {key: param or key for key, _, param in
+              (item.partition(":") for item in _SIM_KEYS[kind].split())}
+    unread = sorted(set(scfg) - set(params) - {"kind", "seed"})
+    if unread:
+        raise DomainError("a %s sim does not read %s"
+                          % (kind, ", ".join("sim." + k for k in unread)))
+    if args.jobs != 1 and kind != "hraid":
+        raise DomainError("--jobs %d: a %s sim does not split its "
+                          "replications" % (args.jobs, kind))
+    given = dict(scfg)
+    if args.reps is not None:
+        given["replications"] = args.reps
+    return kind, {params[k]: v for k, v in given.items() if k in params}
+
+
 def cmd_sim(args):
     from . import sim as simmod
     scenario = _scenario(args)
-    seed = _seed(args, scenario)
-    report = Report(scenario=scenario, command="sim %s" % args.what, seed=seed)
-    if args.what == "reliability":
-        if "copyset" in scenario:
-            scheme = copyset_from_config(scenario["copyset"])
-            ccfg = scenario["copyset"]
-            rep = simmod.sim_copyset_loss(
-                scheme, fail_count=ccfg.get("fail_count"),
-                fail_fraction=ccfg.get("fail_fraction"),
-                reps=args.reps or 10_000, seed=seed)
-            report.add("p_dl", rep.estimate, "",
-                       ci=None if rep.half_width == 0 else rep.ci,
-                       provenance="exact-enumeration" if rep.extras.get("exact")
-                       else "montecarlo")
-            return report
-        scfg = dict(scenario.get("sim") or {})
-        if args.reps:
-            scfg["replications"] = args.reps
-        scfg["seed"] = seed
-        kind = scfg.pop("kind", "hraid")
-        if kind == "resch-table":
-            from . import reliability as rel
-            # one row per (disks, data) configuration of the validation table
-            rows = [(10, 10, 2000.0), (10, 9, 2000.0), (10, 8, 1500.0),
-                    (10, 7, 500.0), (10, 6, 150.0)]
-            reps = scfg.get("replications", 10_000)
-            for i, (n, k, mttf) in enumerate(rows):
-                tag = "[n=%d,k=%d]" % (n, k)
-                report.add("chen%s" % tag,
-                           rel.chen_mttdl(n, n - k, mttf, 1.0), "hours",
-                           provenance="fixed-rate-repair")
-                report.add("angus%s" % tag,
-                           rel.angus_mttdl(n, k, mttf, 1.0), "hours",
-                           provenance="per-failure-repair")
-                sim_rep = simmod.sim_generic_mttdl(
-                    n, 1.0 / mttf, 1.0, regime=scfg.get("regime", "angus"),
-                    tolerance=n - k, reps=reps, seed=seed + i)
-                report.add("simulated%s" % tag, sim_rep.estimate, "hours",
-                           ci=sim_rep.ci, provenance="montecarlo")
-            return report
-        if kind == "generic":
-            rep = simmod.sim_generic_mttdl(
-                n=_need(scfg, "components", "sim"),
-                delta=_need(scfg, "delta", "sim"), mu=scfg.get("mu", 0),
-                regime=scfg.get("regime", "angus"),
-                tolerance=scfg.get("tolerance"),
-                reps=scfg.get("replications", 10_000), seed=seed,
-                level=scfg.get("level", 0.95))
-        elif kind == "hraid":
-            try:
-                cfg = simmod.SimConfig(**scfg)
-            except TypeError as err:  # a key of another sim kind
-                raise DomainError("hraid sim: %s" % err)
-            rep = simmod.sim_hraid_mttdl(cfg, jobs=args.jobs)
-            for cause, frac in rep.breakdown.items():
-                report.add("loss_fraction[%s]" % cause, frac, "",
-                           provenance="montecarlo")
-        else:
-            raise DomainError("unknown reliability sim kind %r" % (kind,))
-        report.add("mttdl", rep.estimate, "hours", ci=rep.ci,
-                   provenance="montecarlo")
-        report.add("replications", rep.replications, "")
-    elif args.what == "queue":
-        scfg = scenario.get("sim") or {}
-        model = scfg.get("model")
-        params = scfg.get("params", {})
-        if not model:
-            raise DomainError("sim.model required for queue simulation")
-        res = simmod.sim_queue(model, params,
-                               n_customers=scfg.get("replications", 200_000),
-                               seed=seed)
+    scfg = scenario.get("sim") or {}
+    kind, kw = _sim_run(args, scenario, scfg)
+    report = _report(args, scenario, scfg)
+    kw["seed"] = report.seed
+    if kind == "queue":
+        kw["model"] = _need(scfg, "model", "sim")
+        kw.setdefault("params", {})
+        res = simmod.sim_queue(**kw)
         unitless = {"rho", "mean_units_per_idle", "rebuild_reads"}
         for key, val in sorted(res.items()):
             if key.endswith("_hw") or key == "n":
@@ -386,8 +352,49 @@ def cmd_sim(args):
             report.add(key, val, "" if key in unitless else "ms",
                        ci=None if hw is None else (val - hw, val + hw),
                        provenance="des")
+        return report
+    if kind == "copyset":
+        ccfg = scenario["copyset"]
+        rep = simmod.sim_copyset_loss(
+            copyset_from_config(ccfg), **kw,
+            **_given(ccfg, fail_count="fail_count",
+                     fail_fraction="fail_fraction"))
+        report.add("p_dl", rep.estimate, "",
+                   ci=None if rep.half_width == 0 else rep.ci,
+                   provenance="exact-enumeration" if rep.extras.get("exact")
+                   else "montecarlo")
+        return report
+    if kind == "resch-table":
+        from . import reliability as rel
+        seed = kw.pop("seed")
+        # one row per (disks, data) configuration of the validation table
+        rows = [(10, 10, 2000.0), (10, 9, 2000.0), (10, 8, 1500.0),
+                (10, 7, 500.0), (10, 6, 150.0)]
+        for i, (n, k, mttf) in enumerate(rows):
+            tag = "[n=%d,k=%d]" % (n, k)
+            report.add("chen%s" % tag, rel.chen_mttdl(n, n - k, mttf, 1.0),
+                       "hours", provenance="fixed-rate-repair")
+            report.add("angus%s" % tag, rel.angus_mttdl(n, k, mttf, 1.0),
+                       "hours", provenance="per-failure-repair")
+            sim_rep = simmod.sim_generic_mttdl(
+                n, 1.0 / mttf, 1.0, tolerance=n - k, seed=seed + i, **kw)
+            report.add("simulated%s" % tag, sim_rep.estimate, "hours",
+                       ci=sim_rep.ci, provenance="montecarlo")
+        return report
+    if kind == "generic":
+        kw["n"] = _need(scfg, "components", "sim")
+        kw["delta"] = _need(scfg, "delta", "sim")
+        kw.setdefault("mu", 0)
+        rep = simmod.sim_generic_mttdl(**kw)
     else:
-        raise DomainError("unknown sim command %r" % (args.what,))
+        rep = simmod.sim_hraid_mttdl(
+            model_from_config(simmod.SimConfig, kw), jobs=args.jobs)
+        for cause, frac in rep.breakdown.items():
+            report.add("loss_fraction[%s]" % cause, frac, "",
+                       provenance="montecarlo")
+    report.add("mttdl", rep.estimate, "hours", ci=rep.ci,
+               provenance="montecarlo")
+    report.add("replications", rep.replications, "")
     return report
 
 
@@ -397,9 +404,7 @@ def cmd_sim(args):
 
 def cmd_compare(args):
     from . import reliability as rel
-    scenario = {"version": "1"}
-    report = Report(scenario=scenario, command="compare shortcut",
-                    seed=_seed(args, scenario))
+    report = _report(args, {"version": "1"}, {})
     orgs = args.orgs.split(",") if args.orgs else \
         ["raid5", "bm", "cd", "grd", "id", "raid6", "lsi", "raid7", "sspiral"]
     rows = rel.shortcut_compare(orgs, args.N, args.eps)
@@ -420,31 +425,25 @@ def build_parser():
         description="storage reliability and performance toolkit")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
-                        help="simulation seed (falls back to RAIDLAB_SEED)")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for the hierarchical "
-                        "simulation; work is split by block of "
-                        "replications, so the report is the same for any "
-                        "count")
+                        help="seed (else RAIDLAB_SEED, else the section's)")
     common.add_argument("--out", default=None,
                         help="report path base (default: report)")
     common.add_argument("--format", default="json",
                         help="comma list of output formats (json,csv,tsv)")
+    scenario = argparse.ArgumentParser(add_help=False, parents=[common])
+    scenario.add_argument("--config", help="scenario JSON file")
+    scenario.add_argument("--preset", help="bundled scenario, by name")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("analyze", help="closed-form analyses",
-                       parents=[common])
+                       parents=[scenario])
     p.add_argument("what", choices=["queueing", "rebuild", "mttdl", "lse",
                                     "placement", "ctmc"])
-    p.add_argument("--config")
-    p.add_argument("--preset")
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("code", help="erasure code enumeration and metrics",
-                       parents=[common])
+                       parents=[scenario])
     p.add_argument("what", choices=["check", "metrics", "tolerance"])
-    p.add_argument("--config")
-    p.add_argument("--preset")
     p.add_argument("--builder")
     p.add_argument("--param", action="append",
                    help="builder parameter key=value (repeatable)")
@@ -454,21 +453,22 @@ def build_parser():
     p.set_defaults(fn=cmd_code)
 
     p = sub.add_parser("layout", help="parity placement layouts",
-                       parents=[common])
+                       parents=[scenario])
     p.add_argument("what", choices=["gen", "verify"])
-    p.add_argument("--config")
-    p.add_argument("--preset")
     p.add_argument("--kind", choices=["bibd-10-4", "nrp", "shifted"])
     p.add_argument("--disks", type=int)
     p.add_argument("--group", type=int)
     p.add_argument("--out-layout")
     p.set_defaults(fn=cmd_layout)
 
-    p = sub.add_parser("sim", help="Monte-Carlo simulation", parents=[common])
+    p = sub.add_parser("sim", help="Monte-Carlo simulation",
+                       parents=[scenario])
     p.add_argument("what", choices=["reliability", "queue"])
-    p.add_argument("--config")
-    p.add_argument("--preset")
-    p.add_argument("--reps", type=int)
+    p.add_argument("--reps", type=int,
+                   help="replications, or customers of a queue sim")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes for a hraid sim, which splits its "
+                   "replications by block: any count gives the same report")
     p.set_defaults(fn=cmd_sim)
 
     p = sub.add_parser("compare", help="shortcut reliability ranking",
@@ -489,8 +489,7 @@ def _raised(layer, name):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     started = time.time()
     try:
         report = args.fn(args)

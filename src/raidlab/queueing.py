@@ -95,13 +95,6 @@ def mm1_rate_bounds(mean_service, r_max=None, percentile=None):
     return max(lam, 0.0) * MS_PER_S
 
 
-def mg1_response_mean(lam_ms, svc):
-    rho = lam_ms * svc.m1
-    if rho >= 1:
-        return math.inf
-    return svc.m1 + lam_ms * svc.m2 / (2.0 * (1.0 - rho))
-
-
 def allocate_load(devices, total_rate, policy="mean-optimal"):
     """Split a Poisson stream over heterogeneous M/G/1 devices.
 

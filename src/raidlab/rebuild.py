@@ -198,7 +198,7 @@ def degraded_load_increase(n_disks, read_fraction):
     Endpoints: 4/3 for pure writes, 2 for pure reads, for every N.
     """
     if n_disks < 3:
-        raise ValueError("need at least 3 disks")
+        raise ValueError("need at least 3 disks, got %r" % (n_disks,))
     if not 0 <= read_fraction <= 1:
         raise ValueError("read fraction must be in [0,1]")
     n = float(n_disks)

@@ -205,26 +205,17 @@ def cp_dp_mttdl_eafdl(params, placement):
 @dataclass
 class PlacementParams:
     """Replica placement system: n devices, c bytes each, replication r,
-    spread k, rebuild bandwidth b (bytes/h), device failure rate lam."""
+    rebuild bandwidth b (bytes/h), device failure rate lam."""
 
     n: int
     c: float
     r: int
     b: float
     lam: float
-    k: int = None
-
-    def __post_init__(self):
-        if self.k is None:
-            self.k = self.n - 1
 
     @property
     def user_data(self):
         return self.n * self.c / self.r
-
-    @property
-    def mu(self):
-        return self.b / self.c
 
 
 def eafdl(params, placement):
@@ -520,7 +511,8 @@ def shortcut_compare(orgs, n, eps):
 
     Returns [(org, coefficient, power, term value)] sorted most reliable
     first (smallest leading term).  Raises ValueError when N is too small
-    for an organization, so that its leading coefficient is negative.
+    for an organization, so that its leading coefficient is negative, or
+    zero: a term of zero ranks no array.
     """
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0,1)")
@@ -535,6 +527,11 @@ def shortcut_compare(orgs, n, eps):
             raise ValueError("%s has a negative leading coefficient %g at "
                              "N = %d" % (org, coeff, n))
         rows.append((org, coeff, power, coeff * eps ** power))
+    # a negative coefficient anywhere is named first
+    for org, coeff, _, _ in rows:
+        if coeff == 0:
+            raise ValueError("%s has a zero leading coefficient at N = %d"
+                             % (org, n))
     rows.sort(key=lambda r: r[3])
     return rows
 

@@ -1,3 +1,6 @@
+import argparse
+import ast
+import inspect
 import json
 import os
 import subprocess
@@ -7,9 +10,20 @@ import pytest
 from jsonschema import Draft202012Validator
 
 import raidlab
+from raidlab import cli
 from raidlab.cli import main
 from raidlab.config import (Report, SCENARIO_SCHEMA, load_preset,
                             validate_scenario, SchemaError)
+
+
+# schema-valid sections that the commands run
+PLACEMENT = {"n": 20, "c": 1e12, "r": 3, "b": 1e11, "lam": 1e-4}
+GENERIC = {"kind": "generic", "components": 10, "tolerance": 1,
+           "delta": 0.001, "mu": 1.0}
+MG1 = {"kind": "queue", "model": "mg1",
+       "params": {"arrival_rate": 0.05, "service": ["exp", 10.0]}}
+COPYSET = {"nodes": 9, "replication": 3, "scatter_width": 4,
+           "scheme": "copyset", "fail_fraction": 0.4}
 
 
 def run_cli(args, tmp_path, env_seed=None):
@@ -184,14 +198,17 @@ class TestCommands:
         doc = json.loads((tmp_path / "cmp.json").read_text())
         assert any("sspiral" in r["metric"] for r in doc["rows"])
 
-    @pytest.mark.parametrize("n,detail", [
-        ("-3", "n must be a non-negative integer"),
-        ("1", "id has a negative leading coefficient -0.25 at N = 1"),
-    ], ids=["N-3", "N1"])
+    @pytest.mark.parametrize("args,detail", [
+        (["--N", "-3"], "n must be a non-negative integer"),
+        (["--N", "1"], "id has a negative leading coefficient -0.25 at N = 1"),
+        (["--N", "0"], "raid5 has a zero leading coefficient at N = 0"),
+        (["--orgs", "raid5", "--N", "1"],
+         "raid5 has a zero leading coefficient at N = 1"),
+    ], ids=["N-3", "N1", "N0", "raid5-N1"])
     def test_compare_shortcut_negative_terms_exit_3(self, tmp_path, capsys,
-                                                     n, detail):
-        # such N used to be ranked, negative unreliabilities and all
-        assert run_cli(["compare", "shortcut", "--N", n, "--eps", "0.025"],
+                                                     args, detail):
+        # such N used to be ranked, negative or zero unreliabilities and all
+        assert run_cli(["compare", "shortcut", "--eps", "0.025"] + args,
                        tmp_path) == 3
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err == {"error": "domain", "detail": detail}
@@ -355,10 +372,52 @@ class TestReplayAndExitCodes:
                                           "seek_char": [0.5, 0.1]},
                               "workload": {"arrival_rate": 50.0}},
          "rotation_time_ms"),
+        ("analyze placement", {"reliability": {"placement": dict(
+            PLACEMENT, k=19)}}, "argument 'k'"),
+        ("sim reliability", {"sim": dict(GENERIC, nodes=4, gamma=1e-4)},
+         "a generic sim does not read sim.gamma, sim.nodes"),
+        ("sim reliability", {"sim": {"kind": "resch-table",
+                                     "components": 10}},
+         "a resch-table sim does not read sim.components"),
+        ("sim queue", {"sim": dict(MG1, tolerance=1)},
+         "a queue sim does not read sim.tolerance"),
+        ("sim reliability", {"copyset": COPYSET, "sim": {"delta": 1e-3}},
+         "a copyset sim does not read sim.delta"),
+        ("sim reliability", {"sim": {"kind": "copyset"}},
+         "without a copyset section runs sim.kind 'hraid' or 'generic' or "
+         "'resch-table', not 'copyset'"),
+        ("sim reliability", {"copyset": COPYSET, "sim": {"kind": "hraid"}},
+         "with a copyset section runs sim.kind 'copyset', not 'hraid'"),
+        ("sim queue", {"sim": dict(MG1, kind="generic")},
+         "sim queue runs sim.kind 'queue', not 'generic'"),
+        ("sim reliability", {"sim": dict(MG1)}, "not 'queue'"),
+        ("analyze rebuild", {"profile": {"preset": "cheetah"},
+                             "workload": {"arrival_rate": 60.0},
+                             "reliability": {"disks": 2}},
+         "need at least 3 disks, got 2"),
+        ("sim reliability --jobs 2", {"sim": GENERIC},
+         "--jobs 2: a generic sim does not split its replications"),
+        ("sim reliability --jobs 2", {"sim": {"kind": "resch-table"}},
+         "--jobs 2: a resch-table sim does not split its replications"),
+        ("sim reliability --jobs 3", {"copyset": COPYSET},
+         "--jobs 3: a copyset sim does not split its replications"),
+        ("sim queue --jobs 2", {"sim": MG1},
+         "--jobs 2: a queue sim does not split its replications"),
+        ("layout gen --disks 12", {"layout": {"kind": "bibd-10-4"}},
+         "--disks and --group describe a --kind layout"),
+        ("code check --erasures all-pairs",
+         {"code": {"builder": "raid5", "params": {"n": 4}}},
+         "--param and --erasures describe a --builder code"),
     ], ids=["hraid-extra-key", "generic-missing-key", "chen-missing-key",
             "ctmc-missing-section", "nrp-missing-group",
             "shifted-missing-disks", "mg1-missing-param",
-            "profile-missing-key"])
+            "profile-missing-key", "placement-k", "generic-hraid-keys",
+            "resch-table-extra-key", "queue-extra-key", "copyset-extra-key",
+            "copyset-kind-without-section", "hraid-kind-with-copyset",
+            "generic-kind-in-sim-queue", "queue-kind-in-sim-reliability",
+            "rebuild-two-disks", "jobs-generic", "jobs-resch-table",
+            "jobs-copyset", "jobs-queue", "disks-without-kind",
+            "erasures-without-builder"])
     def test_schema_valid_key_mismatch_exit_3(self, tmp_path, capsys,
                                               command, doc, key):
         validate_scenario(doc)
@@ -369,6 +428,157 @@ class TestReplayAndExitCodes:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "domain"
         assert key in err["detail"]
+
+
+class TestRunInputs:
+    """Each flag and scenario key that a run reads reaches its model, and
+    the model gets no value that neither gives."""
+
+    @pytest.mark.parametrize("command,doc,flags,fn,passed,absent", [
+        ("sim queue", {"sim": dict(MG1, replications=100000)},
+         ["--reps", "30000"], "sim_queue", {"n_customers": 30000},
+         ["level"]),
+        ("sim queue", {"sim": dict(MG1, level=0.9)}, [], "sim_queue",
+         {"level": 0.9}, ["n_customers"]),
+        ("sim reliability", {"copyset": COPYSET,
+                             "sim": {"replications": 3000, "level": 0.9}},
+         [], "sim_copyset_loss",
+         {"reps": 3000, "level": 0.9, "fail_fraction": 0.4},
+         ["fail_count"]),
+        ("sim reliability", {"copyset": COPYSET}, ["--reps", "3000"],
+         "sim_copyset_loss", {"reps": 3000}, ["level"]),
+        ("sim reliability", {"sim": GENERIC}, ["--seed", "4"],
+         "sim_generic_mttdl", {"n": 10, "tolerance": 1, "seed": 4},
+         ["reps", "level", "regime"]),
+        ("sim reliability", {"sim": {"kind": "resch-table", "level": 0.9}},
+         ["--reps", "300"], "sim_generic_mttdl", {"reps": 300, "level": 0.9},
+         ["regime"]),
+    ], ids=["queue-reps-flag", "queue-level", "copyset-section",
+            "copyset-reps-flag", "generic-defaults", "resch-table-level"])
+    def test_model_gets_what_the_run_gives(self, tmp_path, monkeypatch,
+                                           command, doc, flags, fn, passed,
+                                           absent):
+        from raidlab import sim
+        calls = []
+        real = getattr(sim, fn)
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sim, fn, spy)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert run_cli(command.split() + ["--config", str(cfg)] + flags,
+                       tmp_path) == 0
+        got = calls[0]
+        assert {k: got.get(k) for k in passed} == passed
+        assert [k for k in absent if k in got] == []
+
+    @pytest.mark.parametrize("doc,env_seed,seed", [
+        (None, 9, 9),
+        ({"layout": {"kind": "nrp", "disks": 10, "group": 4, "seed": 5}},
+         None, 5),
+    ], ids=["env-seed", "section-seed"])
+    def test_layout_is_drawn_with_the_report_seed(self, tmp_path, doc,
+                                                  env_seed, seed):
+        # the report used to record the seed while the layout was drawn
+        # with seed 0, or record 0 while it was drawn with the section's
+        nrp = ["--kind", "nrp", "--disks", "10", "--group", "4"]
+        if doc is None:
+            source = nrp
+        else:
+            (tmp_path / "cfg.json").write_text(json.dumps(doc))
+            source = ["--config", "cfg.json"]
+        assert run_cli(["layout", "gen", "--out", "r", "--out-layout",
+                        "a.json"] + source, tmp_path, env_seed=env_seed) == 0
+        assert json.loads((tmp_path / "r.json").read_text())["seed"] == seed
+        for name, s in (("b", seed), ("zero", 0)):
+            assert run_cli(["layout", "gen", "--out-layout", name + ".json",
+                            "--seed", str(s)] + nrp, tmp_path) == 0
+        drawn = (tmp_path / "a.json").read_text()
+        assert drawn == (tmp_path / "b.json").read_text()
+        assert drawn != (tmp_path / "zero.json").read_text()
+
+    @pytest.mark.parametrize("args", [
+        ["analyze", "queueing", "--preset", "cheetah"],
+        ["code", "check", "--builder", "rdp", "--param", "p=5"],
+        ["layout", "verify", "--kind", "bibd-10-4"],
+        ["compare", "shortcut", "--N", "8", "--eps", "0.025"],
+    ], ids=["analyze", "code", "layout", "compare"])
+    def test_jobs_outside_sim_exit_2(self, tmp_path, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(args + ["--jobs", "2"], tmp_path)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+def unread_options(source, parser):
+    """(command, option) of each option that a subcommand of `parser`
+    declares, its parents' included, and that nothing on the command's path
+    reads as args.<dest>.  The path is its handler (the parser's `fn`
+    default), main, and each function of `source` that either passes
+    `args` to."""
+    funcs = {node.name: node for node in ast.parse(source).body
+             if isinstance(node, ast.FunctionDef)}
+
+    def reads(name, seen):
+        if name in seen or name not in funcs:
+            return set()
+        seen.add(name)
+        out = set()
+        for node in ast.walk(funcs[name]):
+            if isinstance(node, ast.Attribute) and \
+                    isinstance(node.value, ast.Name) and \
+                    node.value.id == "args":
+                out.add(node.attr)
+            elif isinstance(node, ast.Call) and \
+                    isinstance(node.func, ast.Name) and \
+                    any(isinstance(a, ast.Name) and a.id == "args"
+                        for a in node.args):
+                out |= reads(node.func.id, seen)
+        return out
+
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    unread = []
+    for command, p in sub.choices.items():
+        path = reads(p.get_default("fn").__name__, set())
+        path |= reads("main", set())
+        unread += [(command, (a.option_strings or [a.dest])[0])
+                   for a in p._actions
+                   if a.dest != "help" and a.dest not in path]
+    return unread
+
+
+class TestOptionsAreRead:
+    def test_every_option_is_read_on_its_command_path(self):
+        assert unread_options(inspect.getsource(cli), cli.build_parser()) == []
+
+    def test_option_checker_finds_an_unread_option(self):
+        source = ("def cmd(args):\n"
+                  "    return helper(args)\n"
+                  "def helper(args):\n"
+                  "    return args.a, args.what\n"
+                  "def other(args):\n"
+                  "    return args.b\n"
+                  "def main(argv=None):\n"
+                  "    args = parse(argv)\n"
+                  "    return args.out\n")
+
+        def cmd(args):
+            return args
+
+        parser = argparse.ArgumentParser()
+        common = argparse.ArgumentParser(add_help=False)
+        common.add_argument("--out")
+        p = parser.add_subparsers().add_parser("x", parents=[common])
+        p.add_argument("what")
+        p.add_argument("--a")
+        p.add_argument("--b")
+        p.set_defaults(fn=cmd)
+        assert unread_options(source, parser) == [("x", "--b")]
 
 
 class TestReportType:

@@ -96,7 +96,7 @@ class TestAllocate:
         devs = [exp_svc(5.0), exp_svc(10.0)]
         rates = allocate_load(devs, 100.0, "min-max")
         assert sum(rates) == pytest.approx(100.0, abs=1e-9)
-        rs = [q.mg1_response_mean(r / 1000.0, d) for r, d in zip(rates, devs)]
+        rs = [q.mg1_wait(r, d).response for r, d in zip(rates, devs)]
         assert rs[0] == pytest.approx(rs[1], abs=1e-6)
         # faster device carries higher utilization
         rhos = [r / 1000.0 * d.m1 for r, d in zip(rates, devs)]
@@ -134,7 +134,7 @@ class TestAllocate:
         rates = allocate_load(devs, lam_total, "mean-optimal")
 
         def objective(rs):
-            return sum(r / lam_total * q.mg1_response_mean(r / 1000.0, d)
+            return sum(r / lam_total * q.mg1_wait(r, d).response
                        for r, d in zip(rs, devs))
 
         best = objective(rates)

@@ -330,6 +330,19 @@ class TestShortcut:
                                              % (org, n)):
             shortcut_compare([org], n, 0.025)
 
+    @pytest.mark.parametrize("org,n", [("raid5", 1), ("raid6", 2),
+                                       ("bm", 0), ("sspiral", 3)])
+    def test_zero_coefficient_raises(self, org, n):
+        # a leading term of zero ranks no array of N disks
+        with pytest.raises(ValueError, match="^%s has a zero leading "
+                                             "coefficient at N = %d$"
+                                             % (org, n)):
+            shortcut_compare([org], n, 0.025)
+
+    def test_negative_coefficient_is_named_before_a_zero(self):
+        with pytest.raises(ValueError, match="^id has a negative"):
+            shortcut_compare(["raid5", "id"], 1, 0.025)
+
     def test_negative_n_raises_for_binomial_terms(self):
         for org in ("raid5", "raid6", "lsi", "raid7", "sspiral"):
             with pytest.raises(ValueError):
