@@ -189,11 +189,9 @@ def hvpc(k1, k2):
     return code
 
 
-def rm2(n=7, m=3):
-    """Non-MDS double-parity layout: each data strip sits in two parity
-    groups; one row in m is parity.  Fixture fixed at N=7, M=3."""
-    if (n, m) != (7, 3):
-        raise ValueError("rm2 fixture is defined for N=7, M=3")
+def rm2():
+    """Non-MDS double-parity layout at N=7, M=3: each data strip sits in two
+    parity groups; one row in three is parity."""
     # data block {i,j} is protected by parities P_i and P_j; the two data
     # rows of the segment carry pairs (j, j+1) and (j, j+3) per column j
     pairs_row1 = [((j + 2) % 7, (j + 3) % 7) for j in range(7)]
@@ -335,18 +333,15 @@ def find_lrc_coefficients(field=gf.GF16):
     raise RuntimeError("no admissible coefficients in %r" % (field,))
 
 
-def was_lrc_6_2_2(coefficients=None):
+def was_lrc_6_2_2():
     """Two-group LRC over GF(16): 6 data, 2 local, 2 global parities.
 
-    Coefficients default to the smallest set passing the three determinant
+    Its coefficients are the smallest set passing the three determinant
     families, which makes every information-theoretically decodable 4-failure
     pattern decodable.
     """
     field = gf.GF16
-    if coefficients is None:
-        alphas, betas = find_lrc_coefficients(field)
-    else:
-        alphas, betas = coefficients
+    alphas, betas = find_lrc_coefficients(field)
     xs = ("x0", "x1", "x2")
     ys = ("y0", "y1", "y2")
     equations = [
@@ -427,10 +422,9 @@ def pmds_fig(variant="pmds"):
     )
 
 
-def lsi(n=8):
-    """Ring of data disks with pairwise-XOR parity disks between them."""
-    if n != 8:
-        raise ValueError("lsi fixture is defined for N=8")
+def lsi():
+    """Ring of four data disks with pairwise-XOR parity disks between them,
+    N=8."""
     # data and checks alternate round the ring; each check is named by the
     # two data disks it XORs
     syms = ("A", "AB", "B", "BC", "C", "CD", "D", "DA")
@@ -438,10 +432,8 @@ def lsi(n=8):
                 {s: i for i, s in enumerate(syms)})
 
 
-def sspiral(n=8):
-    """Ring of data disks with three-way XOR parities."""
-    if n != 8:
-        raise ValueError("sspiral fixture is defined for N=8")
+def sspiral():
+    """Ring of four data disks with three-way XOR parities, N=8."""
     # each check is named by the data disks it XORs
     return _xor("sspiral(8)", ("A", "B", "C", "D"),
                 {c: tuple(c) for c in ("ABC", "BCD", "CDA", "DAB")})

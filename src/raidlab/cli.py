@@ -2,8 +2,8 @@
 simulations or enumerations, and emit machine-readable reports.
 
 Exit codes: 0 success, 2 schema violation, 3 domain error, 4 enumeration
-budget exceeded.  A model is passed only what the flags and the scenario
-give, so its own defaults hold where they say nothing.
+budget exceeded.  A flag that changes a result sets its scenario key, and a
+model is passed only what the scenario gives, which the report echoes.
 
 Each command imports only the layers it runs, so a closed form does not pay
 for numpy and a layout check does not pay for the code enumerator.
@@ -18,7 +18,7 @@ import time
 from .config import (DomainError, Report, SchemaError, code_from_config,
                      copyset_from_config, emit, load_preset, load_scenario,
                      model_from_config, profile_from_config,
-                     workload_from_config)
+                     validate_scenario, workload_from_config)
 
 
 def _report(args, scenario, section):
@@ -31,12 +31,16 @@ def _report(args, scenario, section):
                   seed=seed)
 
 
-def _scenario(args):
-    if args.config:
-        return load_scenario(args.config)
-    if args.preset:
-        return load_preset(args.preset)
-    return {"version": "1"}
+def _scenario(args, name=None, **flags):
+    """The --config file, else the --preset, else an empty scenario, with
+    each flag given (not None) set as its key of section `name`."""
+    scenario = (load_scenario(args.config) if args.config else
+                load_preset(args.preset) if args.preset else {"version": "1"})
+    given = {key: value for key, value in flags.items() if value is not None}
+    if given:
+        scenario = validate_scenario(
+            dict(scenario, **{name: dict(scenario.get(name, {}), **given)}))
+    return scenario
 
 
 def _need(cfg, key, where):
@@ -48,9 +52,37 @@ def _need(cfg, key, where):
         raise DomainError("%s needs %r" % (where, key)) from None
 
 
-def _given(cfg, **keys):
-    """{parameter: cfg[key]} for each parameter=key whose key cfg gives."""
-    return {param: cfg[key] for param, key in keys.items() if key in cfg}
+# The keys of its section that each sim or layout kind reads, besides kind
+# and seed; after a colon, the parameter of the kind's model where its name
+# differs, and after a "!", a key the kind needs
+_KIND_KEYS = {
+    "hraid": "nodes disks_per_node inter_tolerance intra_tolerance delta "
+             "gamma replications level",
+    "generic": "components:n! delta! mu! regime tolerance replications:reps "
+               "level",
+    "resch-table": "regime replications:reps level",
+    "copyset": "replications:reps level",
+    "queue": "model! params! replications:n_customers level",
+    "bibd-10-4": "",
+    "nrp": "disks:n! group:g! rows",
+    "shifted": "disks:n! group:g!",
+}
+
+
+def _keywords(section, kind, cfg):
+    """The keywords of a `kind` model from its section cfg; a key that the
+    kind does not read, or needs and cfg lacks, is a domain error."""
+    params = {}
+    for item in _KIND_KEYS[kind].split():
+        key, _, param = item.rstrip("!").partition(":")
+        params[key] = param or key
+        if item.endswith("!"):
+            _need(cfg, key, section)
+    unread = sorted(set(cfg) - set(params) - {"kind", "seed"})
+    if unread:
+        raise DomainError("a %s %s does not read %s" % (
+            kind, section, ", ".join(section + "." + k for k in unread)))
+    return {params[k]: v for k, v in cfg.items() if k in params}
 
 
 def _params_from_config(cfg):
@@ -100,9 +132,8 @@ def cmd_analyze(args):
         t_bw = rbmod.rebuild_time_bandwidth(profile, workload, cfg)
         report.add("rebuild_time_bandwidth", t_bw / 3.6e6, "hours",
                    provenance="transfer-rate")
-        incr = rbmod.degraded_load_increase(
-            scenario.get("reliability", {}).get("disks", 8),
-            workload.read_fraction)
+        disks = _need(scenario.get("reliability", {}), "disks", "reliability")
+        incr = rbmod.degraded_load_increase(disks, workload.read_fraction)
         report.add("degraded_load_increase", incr, "")
     elif args.what == "mttdl":
         from . import reliability as rel
@@ -120,7 +151,7 @@ def cmd_analyze(args):
             n = _need(rcfg, "disks", "reliability")
             k = _need(rcfg, "data", "reliability")
             mttf = _need(rcfg, "mttf_hours", "reliability")
-            mttr = rcfg.get("mttr_hours", 1.0)
+            mttr = _need(rcfg, "mttr_hours", "reliability")
             val = (rel.chen_mttdl(n, n - k, mttf, mttr) if model == "chen"
                    else rel.angus_mttdl(n, k, mttf, mttr))
             report.add("mttdl", val, "hours", provenance=model)
@@ -183,26 +214,29 @@ def cmd_analyze(args):
 # code
 
 
+def _param(item):
+    """(key, value) of --param key=value, value read as JSON where it is."""
+    key, _, text = item.partition("=")
+    try:
+        return key, json.loads(text)
+    except json.JSONDecodeError:
+        return key, text
+
+
 def cmd_code(args):
     from . import codes
-    scenario = _scenario(args)
-    if args.builder:
-        params = {}
-        for item in args.param or []:
-            key, _, val = item.partition("=")
-            try:
-                params[key] = json.loads(val)
-            except json.JSONDecodeError:
-                params[key] = val
-        ccfg = {"builder": args.builder, "params": params}
-        if args.erasures:
-            ccfg["erasures"] = args.erasures
-        scenario = dict(scenario, code=ccfg)
-    elif args.param or args.erasures:
-        raise DomainError("--param and --erasures describe a --builder code")
+    for flag, value, readers in (("--erasures", args.erasures, ["check"]),
+                                 ("--granularity", args.granularity,
+                                  ["check", "tolerance"])):
+        if value is not None and args.what not in readers:
+            raise DomainError("code %s does not read %s" % (args.what, flag))
+    scenario = _scenario(
+        args, "code", builder=args.builder, erasures=args.erasures,
+        granularity=args.granularity,
+        params=None if args.param is None else dict(map(_param, args.param)))
     ccfg = _need(scenario, "code", "scenario")
     code = code_from_config(ccfg)
-    granularity = args.granularity or ccfg.get("granularity", "column")
+    granularity = ccfg.get("granularity", "column")
     report = _report(args, scenario, {})
     if args.what == "check":
         spec = ccfg.get("erasures", "all-pairs")
@@ -235,31 +269,19 @@ def cmd_code(args):
 # layout
 
 
-def _layout_from_config(lcfg, seed):
-    from . import declustering
-    if lcfg["kind"] == "bibd-10-4":
-        return declustering.bibd_10_4_2()
-    disks = _need(lcfg, "disks", "layout")
-    group = _need(lcfg, "group", "layout")
-    if lcfg["kind"] == "nrp":
-        return declustering.nrp_layout(disks, group, seed=seed,
-                                       **_given(lcfg, rows="rows"))
-    return declustering.shifted_layout(disks, group)
-
-
 def cmd_layout(args):
     from . import declustering
-    scenario = _scenario(args)
-    if args.kind:
-        flags = {"kind": args.kind, "disks": args.disks, "group": args.group,
-                 "seed": args.seed}
-        scenario = dict(scenario, layout={k: v for k, v in flags.items()
-                                          if v is not None})
-    elif (args.disks, args.group) != (None, None):
-        raise DomainError("--disks and --group describe a --kind layout")
+    scenario = _scenario(args, "layout", kind=args.kind, disks=args.disks,
+                         group=args.group)
     lcfg = _need(scenario, "layout", "scenario")
     report = _report(args, scenario, lcfg)
-    layout = _layout_from_config(lcfg, report.seed)
+    kw = _keywords("layout", lcfg["kind"], lcfg)
+    if lcfg["kind"] == "bibd-10-4":
+        layout = declustering.bibd_10_4_2()
+    elif lcfg["kind"] == "nrp":
+        layout = declustering.nrp_layout(seed=report.seed, **kw)
+    else:
+        layout = declustering.shifted_layout(**kw)
     if args.what == "gen":
         report.add("disks", layout.disks, "")
         report.add("group_size", layout.group_size, "")
@@ -270,9 +292,6 @@ def cmd_layout(args):
         counts = layout.parity_counts()
         report.add("parity_imbalance", max(counts) - min(counts), "strips",
                    provenance="verification")
-        if args.out_layout:
-            with open(args.out_layout, "w") as fh:
-                json.dump(declustering.layout_to_json(layout), fh, indent=2)
     elif lcfg["kind"] == "bibd-10-4":
         rep = declustering.verify_bibd(layout)
         report.add("ok", int(rep["ok"]), "", provenance="design-identities")
@@ -284,6 +303,9 @@ def cmd_layout(args):
         violations = layout.distinct_disk_violations()
         report.add("ok", int(not violations), "",
                    provenance="distinct-disk-check")
+    if args.out_layout:
+        with open(args.out_layout, "w") as fh:
+            json.dump(declustering.layout_to_json(layout), fh, indent=2)
     return report
 
 
@@ -291,22 +313,9 @@ def cmd_layout(args):
 # sim
 
 
-# The sim section's keys that each sim kind reads, besides kind and seed;
-# after a colon, the parameter of the kind's model where its name differs
-_SIM_KEYS = {
-    "hraid": "nodes disks_per_node inter_tolerance intra_tolerance delta "
-             "gamma mu replications level",
-    "generic": "components:n delta mu regime tolerance replications:reps "
-               "level",
-    "resch-table": "regime replications:reps level",
-    "copyset": "replications:reps level",
-    "queue": "model params replications:n_customers level",
-}
-
-
 def _sim_run(args, scenario, scfg):
     """(kind, keywords): the sim kind that the command and the sections
-    run, and its model's keywords from the sim section, --reps winning."""
+    run, and its model's keywords from the sim section."""
     if args.what == "queue":
         runs, kinds = "sim queue", ["queue"]
     elif "copyset" in scenario:
@@ -318,31 +327,20 @@ def _sim_run(args, scenario, scfg):
     if kind not in kinds:
         raise DomainError("%s runs sim.kind %s, not %r"
                           % (runs, " or ".join(map(repr, kinds)), kind))
-    params = {key: param or key for key, _, param in
-              (item.partition(":") for item in _SIM_KEYS[kind].split())}
-    unread = sorted(set(scfg) - set(params) - {"kind", "seed"})
-    if unread:
-        raise DomainError("a %s sim does not read %s"
-                          % (kind, ", ".join("sim." + k for k in unread)))
     if args.jobs != 1 and kind != "hraid":
         raise DomainError("--jobs %d: a %s sim does not split its "
                           "replications" % (args.jobs, kind))
-    given = dict(scfg)
-    if args.reps is not None:
-        given["replications"] = args.reps
-    return kind, {params[k]: v for k, v in given.items() if k in params}
+    return kind, _keywords("sim", kind, scfg)
 
 
 def cmd_sim(args):
     from . import sim as simmod
-    scenario = _scenario(args)
+    scenario = _scenario(args, "sim", replications=args.reps)
     scfg = scenario.get("sim") or {}
     kind, kw = _sim_run(args, scenario, scfg)
     report = _report(args, scenario, scfg)
     kw["seed"] = report.seed
     if kind == "queue":
-        kw["model"] = _need(scfg, "model", "sim")
-        kw.setdefault("params", {})
         res = simmod.sim_queue(**kw)
         unitless = {"rho", "mean_units_per_idle", "rebuild_reads"}
         for key, val in sorted(res.items()):
@@ -356,9 +354,9 @@ def cmd_sim(args):
     if kind == "copyset":
         ccfg = scenario["copyset"]
         rep = simmod.sim_copyset_loss(
-            copyset_from_config(ccfg), **kw,
-            **_given(ccfg, fail_count="fail_count",
-                     fail_fraction="fail_fraction"))
+            copyset_from_config(ccfg), **kw, **{
+                key: ccfg[key] for key in ("fail_count", "fail_fraction")
+                if key in ccfg})
         report.add("p_dl", rep.estimate, "",
                    ci=None if rep.half_width == 0 else rep.ci,
                    provenance="exact-enumeration" if rep.extras.get("exact")
@@ -382,9 +380,6 @@ def cmd_sim(args):
                        ci=sim_rep.ci, provenance="montecarlo")
         return report
     if kind == "generic":
-        kw["n"] = _need(scfg, "components", "sim")
-        kw["delta"] = _need(scfg, "delta", "sim")
-        kw.setdefault("mu", 0)
         rep = simmod.sim_generic_mttdl(**kw)
     else:
         rep = simmod.sim_hraid_mttdl(
@@ -444,28 +439,31 @@ def build_parser():
     p = sub.add_parser("code", help="erasure code enumeration and metrics",
                        parents=[scenario])
     p.add_argument("what", choices=["check", "metrics", "tolerance"])
-    p.add_argument("--builder")
+    p.add_argument("--builder", help="sets code.builder")
     p.add_argument("--param", action="append",
-                   help="builder parameter key=value (repeatable)")
-    p.add_argument("--erasures", default=None,
-                   help="all-pairs | all-triples | all-quads")
-    p.add_argument("--granularity", choices=["symbol", "column"])
+                   help="key=value, repeatable: together they set code.params")
+    p.add_argument("--erasures", help="sets code.erasures (check): all-pairs "
+                   "| all-triples | all-quads")
+    p.add_argument("--granularity", choices=["symbol", "column"],
+                   help="sets code.granularity (check, tolerance), which "
+                   "defaults to column")
     p.set_defaults(fn=cmd_code)
 
     p = sub.add_parser("layout", help="parity placement layouts",
                        parents=[scenario])
     p.add_argument("what", choices=["gen", "verify"])
-    p.add_argument("--kind", choices=["bibd-10-4", "nrp", "shifted"])
-    p.add_argument("--disks", type=int)
-    p.add_argument("--group", type=int)
-    p.add_argument("--out-layout")
+    p.add_argument("--kind", choices=["bibd-10-4", "nrp", "shifted"],
+                   help="sets layout.kind")
+    p.add_argument("--disks", type=int, help="sets layout.disks")
+    p.add_argument("--group", type=int, help="sets layout.group")
+    p.add_argument("--out-layout", help="path of the layout JSON to write")
     p.set_defaults(fn=cmd_layout)
 
     p = sub.add_parser("sim", help="Monte-Carlo simulation",
                        parents=[scenario])
     p.add_argument("what", choices=["reliability", "queue"])
-    p.add_argument("--reps", type=int,
-                   help="replications, or customers of a queue sim")
+    p.add_argument("--reps", type=int, help="sets sim.replications: "
+                   "replications, or customers of a queue sim")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for a hraid sim, which splits its "
                    "replications by block: any count gives the same report")

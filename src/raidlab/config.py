@@ -228,6 +228,9 @@ def workload_from_config(cfg):
 def code_from_config(cfg):
     from . import builders, codes
     if "inline" in cfg:
+        for key in ("builder", "params"):
+            if key in cfg:
+                raise DomainError("an inline code does not read code.%s" % key)
         try:
             return codes.from_json(cfg["inline"])
         except (KeyError, TypeError, ValueError) as err:

@@ -111,6 +111,8 @@ def raid5_chain(params):
 def chen_mttdl(n, k, mttf, mttr):
     """Fixed-rate-repair approximation for a stripe tolerating k = n - data
     failures: MTTF^{k+1} / (n (n-1) ... (n-k) MTTR^k)."""
+    if not mttr > 0:
+        raise ValueError("mttr must be > 0, got %r" % (mttr,))
     kappa = k
     return mttf ** (kappa + 1) / (falling_factorial(n, kappa + 1) * mttr ** kappa)
 
@@ -121,6 +123,8 @@ def angus_mttdl(n, k_data, mttf, mttr):
     MTTF^{m+1} / (k C(n,k) MTTR^m) * sum_{i<=m} C(n,i) (MTTR/MTTF)^i with
     m = n - k_data.
     """
+    if not mttr > 0:
+        raise ValueError("mttr must be > 0, got %r" % (mttr,))
     m = n - k_data
     lead = mttf ** (m + 1) / (k_data * math.comb(n, k_data) * mttr ** m)
     s = sum(math.comb(n, i) * (mttr / mttf) ** i for i in range(m + 1))
@@ -546,11 +550,13 @@ def epsilon_from_horizon(mttf_hours, horizon_hours):
 
 
 def tmr(delta, variant="tmr"):
-    """Voter-based triples: R(t), MTTF, mission time, and the printed
-    early-expansion coefficient of 1 - R ~ coeff (delta t)^2.
+    """Voter-based triples: R(t), MTTF, mission time, and the coefficient
+    of the early expansion 1 - R ~ coeff (delta t)^2.
 
-    tmr: R = 3e^{-2dt} - 2e^{-3dt}, MTTF = 5/(6d), mission time ln2/d.
-    tmr_simplex: R = 1.5e^{-dt} - 0.5e^{-3dt}, MTTF = 4/(3d) = 1/(3d) + 1/d.
+    tmr: R = 3e^{-2dt} - 2e^{-3dt} = 1 - 3(dt)^2 + ..., MTTF = 5/(6d),
+    mission time ln2/d.
+    tmr_simplex: R = 1.5e^{-dt} - 0.5e^{-3dt} = 1 - 1.5(dt)^2 + 2(dt)^3 - ...,
+    MTTF = 4/(3d) = 1/(3d) + 1/d.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -570,7 +576,7 @@ def tmr(delta, variant="tmr"):
             "reliability": r,
             "mttf": 4.0 / (3.0 * delta),
             "mission_time": None,
-            "early_coefficient": 4.0,
+            "early_coefficient": 1.5,
         }
     raise ValueError("variant must be 'tmr' or 'tmr_simplex'")
 

@@ -58,13 +58,12 @@ class SimConfig:
     intra_tolerance: int = 0     # disk failures tolerated per node (ell)
     delta: float = 1e-6          # disk failure rate, 1/hour
     gamma: float = 0.0           # controller failure rate, 1/hour
-    mu: float = 0.0              # repair rate, 1/hour (0 = no repair)
     replications: int = 10_000
     seed: int = 0
     level: float = 0.95
 
     def __post_init__(self):
-        if min(self.delta, self.gamma, self.mu) < 0:
+        if min(self.delta, self.gamma) < 0:
             raise ValueError("rates must be >= 0")
         if self.replications < 1:
             raise ValueError("need at least one replication")
@@ -90,8 +89,6 @@ def sim_hraid_mttdl(cfg, jobs=1):
     jobs > 1 fans blocks of replications over a process pool; results are
     identical for any worker count because streams are keyed by block.
     """
-    if cfg.mu != 0.0:
-        raise ValueError("the hierarchical procedure models no repair")
     if cfg.inter_tolerance >= cfg.nodes:
         raise ValueError("data is never lost: inter_tolerance >= nodes")
     from . import montecarlo

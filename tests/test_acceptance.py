@@ -286,7 +286,7 @@ def test_criterion_11_mirrored_coefficients_and_ranking():
             for i in range(n + 1):
                 want = mirrored_coefficients(org, n, i, clusters=clusters)
                 assert counts[i] == want, (org, n, i)
-    a = codes.loss_coefficients(builders.sspiral(8))
+    a = codes.loss_coefficients(builders.sspiral())
     assert math.comb(8, 4) - a[4] == 14 == math.comb(8, 4) // 5
     orgs = ["raid5", "bm", "cd", "grd", "id", "raid6", "lsi", "raid7",
             "sspiral"]

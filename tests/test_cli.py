@@ -1,5 +1,6 @@
 import argparse
 import ast
+import importlib
 import inspect
 import json
 import os
@@ -173,7 +174,8 @@ class TestImportHygiene:
     def test_command_loads_only_its_layers(self, tmp_path, args, absent):
         (tmp_path / "chen.json").write_text(json.dumps({
             "version": "1", "reliability": {"model": "chen", "disks": 8,
-                                            "data": 7, "mttf_hours": 1e5}}))
+                                            "data": 7, "mttf_hours": 1e5,
+                                            "mttr_hours": 1.0}}))
         code, loaded = probe(LOADED_PROBE, args + ["--out", "r"], tmp_path)
         assert code == 0
         assert [m for m in absent if m in loaded] == []
@@ -242,6 +244,12 @@ class TestCommands:
         # identical content across formats
         doc = json.loads((tmp_path / "q.json").read_text())
         assert len(doc["rows"]) == len(csv_text.splitlines()) - 1
+
+    def test_layout_verify_writes_the_layout(self, tmp_path):
+        assert run_cli(["layout", "verify", "--kind", "bibd-10-4",
+                        "--out-layout", "v.json"], tmp_path) == 0
+        layout = json.loads((tmp_path / "v.json").read_text())
+        assert len(layout["assignment"][0]) == 10
 
     def test_layout_gen_nrp(self, tmp_path):
         code = run_cli(["layout", "gen", "--kind", "nrp", "--disks", "10",
@@ -403,11 +411,56 @@ class TestReplayAndExitCodes:
          "--jobs 3: a copyset sim does not split its replications"),
         ("sim queue --jobs 2", {"sim": MG1},
          "--jobs 2: a queue sim does not split its replications"),
+        # a flag sets its key in the section the scenario gives
         ("layout gen --disks 12", {"layout": {"kind": "bibd-10-4"}},
-         "--disks and --group describe a --kind layout"),
-        ("code check --erasures all-pairs",
+         "a bibd-10-4 layout does not read layout.disks"),
+        ("code check --erasures all-quads",
+         {"code": {"builder": "raid5", "params": {"n": 3}}},
+         "f=4 is outside 1..3, the column count of code raid5(3)"),
+        # keys a command needs and that the command line used to supply
+        ("sim reliability", {"sim": {"kind": "generic", "components": 10,
+                                     "tolerance": 1, "delta": 0.001}},
+         "sim needs 'mu'"),
+        ("analyze rebuild", {"profile": {"preset": "cheetah"},
+                             "workload": {"arrival_rate": 60.0}},
+         "reliability needs 'disks'"),
+        ("analyze mttdl", {"reliability": {"model": "chen", "disks": 8,
+                                           "data": 7, "mttf_hours": 1e5}},
+         "reliability needs 'mttr_hours'"),
+        ("analyze mttdl", {"reliability": {"model": "angus", "disks": 8,
+                                           "data": 7, "mttf_hours": 1e5,
+                                           "mttr_hours": 0}},
+         "mttr must be > 0, got 0"),
+        ("analyze mttdl", {"reliability": {"model": "chen", "disks": 8,
+                                           "data": 7, "mttf_hours": 1e5,
+                                           "mttr_hours": 0}},
+         "mttr must be > 0, got 0"),
+        ("sim queue", {"sim": {"kind": "queue", "model": "mg1"}},
+         "sim needs 'params'"),
+        # keys and flags that the chosen kind or command does not read
+        ("layout gen", {"layout": {"kind": "shifted", "disks": 8,
+                                   "group": 4, "rows": 3}},
+         "a shifted layout does not read layout.rows"),
+        ("layout verify --kind bibd-10-4 --group 4",
+         {"layout": {"kind": "nrp", "disks": 10, "rows": 2}},
+         "a bibd-10-4 layout does not read layout.disks, layout.group, "
+         "layout.rows"),
+        ("code check", {"code": {"builder": "raid5", "inline": {}}},
+         "an inline code does not read code.builder"),
+        ("code check --builder raid5 --param n=4",
+         {"code": {"inline": {}}},
+         "an inline code does not read code.builder"),
+        ("sim reliability", {"sim": {"kind": "hraid", "mu": 0.0}},
+         "a hraid sim does not read sim.mu"),
+        ("code metrics --granularity symbol",
          {"code": {"builder": "raid5", "params": {"n": 4}}},
-         "--param and --erasures describe a --builder code"),
+         "code metrics does not read --granularity"),
+        ("code metrics --erasures all-pairs",
+         {"code": {"builder": "raid5", "params": {"n": 4}}},
+         "code metrics does not read --erasures"),
+        ("code tolerance --erasures all-pairs",
+         {"code": {"builder": "raid5", "params": {"n": 4}}},
+         "code tolerance does not read --erasures"),
     ], ids=["hraid-extra-key", "generic-missing-key", "chen-missing-key",
             "ctmc-missing-section", "nrp-missing-group",
             "shifted-missing-disks", "mg1-missing-param",
@@ -417,7 +470,12 @@ class TestReplayAndExitCodes:
             "generic-kind-in-sim-queue", "queue-kind-in-sim-reliability",
             "rebuild-two-disks", "jobs-generic", "jobs-resch-table",
             "jobs-copyset", "jobs-queue", "disks-without-kind",
-            "erasures-without-builder"])
+            "erasures-without-builder", "generic-missing-mu",
+            "rebuild-missing-disks", "chen-missing-mttr", "angus-zero-mttr",
+            "chen-zero-mttr", "queue-missing-params", "shifted-rows",
+            "bibd-flags-over-nrp", "builder-and-inline",
+            "builder-flag-over-inline", "hraid-mu", "metrics-granularity",
+            "metrics-erasures", "tolerance-erasures"])
     def test_schema_valid_key_mismatch_exit_3(self, tmp_path, capsys,
                                               command, doc, key):
         validate_scenario(doc)
@@ -429,6 +487,83 @@ class TestReplayAndExitCodes:
         assert err["error"] == "domain"
         assert key in err["detail"]
 
+    @pytest.mark.parametrize("args,detail", [
+        (["layout", "gen", "--kind", "nrp", "--disks", "1", "--group", "4"],
+         "1 is less than the minimum of 2 (at layout/disks)"),
+        (["layout", "gen", "--disks", "10", "--group", "4"],
+         "'kind' is a required property (at layout)"),
+        (["sim", "reliability", "--preset", "resch-row2", "--reps", "0"],
+         "0 is less than the minimum of 1 (at sim/replications)"),
+    ], ids=["disks-1", "disks-without-a-layout", "reps-0"])
+    def test_flag_outside_the_schema_exit_2(self, tmp_path, capsys, args,
+                                            detail):
+        # a flag sets a scenario key, and the scenario is checked again
+        assert run_cli(args, tmp_path) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"error": "schema", "detail": detail}
+        assert list(tmp_path.iterdir()) == []
+
+
+# The README commands and the benchmark's presets, compare aside, and two
+# whose flags the report's scenario used to leave out
+REPLAYED = [
+    ["analyze", "queueing", "--preset", "cheetah"],
+    ["analyze", "lse", "--preset", "sata-idr"],
+    ["code", "check", "--builder", "rdp", "--param", "p=5", "--erasures",
+     "all-pairs"],
+    ["code", "metrics", "--builder", "azure_lrc", "--param", "n=10",
+     "--param", "k=6", "--param", "r=3"],
+    ["layout", "verify", "--kind", "bibd-10-4"],
+    ["layout", "gen", "--kind", "nrp", "--disks", "10", "--group", "4",
+     "--seed", "3"],
+    ["sim", "reliability", "--preset", "resch-row2", "--reps", "10000",
+     "--seed", "42"],
+    ["sim", "reliability", "--preset", "hraid-4x4", "--jobs", "2"],
+    ["code", "check", "--preset", "was-lrc"],
+    ["code", "check", "--preset", "pyramid"],
+    ["sim", "reliability", "--preset", "resch-table", "--seed", "1"],
+    ["code", "check", "--builder", "rdp", "--param", "p=5", "--granularity",
+     "symbol"],
+    ["sim", "reliability", "--preset", "resch-row2", "--reps", "200",
+     "--seed", "5"],
+]
+
+
+class TestReplay:
+    @pytest.mark.parametrize("args", REPLAYED, ids=[
+        "analyze-queueing", "analyze-lse", "code-check-rdp",
+        "code-metrics-azure", "layout-verify-bibd", "layout-gen-nrp",
+        "sim-resch-row2", "sim-hraid-jobs2", "code-check-was-lrc",
+        "code-check-pyramid", "sim-resch-table", "code-check-symbol",
+        "sim-reps-200"])
+    def test_report_scenario_replays_the_run(self, tmp_path, args):
+        assert run_cli(args + ["--out", "run"], tmp_path) == 0
+        run = json.loads((tmp_path / "run.json").read_text())
+        (tmp_path / "scenario.json").write_text(json.dumps(run["scenario"]))
+        assert run_cli(args[:2] + ["--config", "scenario.json", "--seed",
+                                   str(run["seed"]), "--out", "replay"],
+                       tmp_path) == 0
+        replay = json.loads((tmp_path / "replay.json").read_text())
+        assert replay["rows"] == run["rows"]
+        assert replay["scenario"] == run["scenario"]
+
+    @pytest.mark.parametrize("args,section,rows", [
+        (["code", "check", "--builder", "rdp", "--param", "p=5",
+          "--granularity", "symbol"],
+         {"code": {"builder": "rdp", "params": {"p": 5},
+                   "granularity": "symbol"}},
+         {"recoverable": 276, "total": 276}),
+        (["sim", "reliability", "--preset", "resch-row2", "--reps", "200"],
+         {"sim": dict(load_preset("resch-row2")["sim"], replications=200)},
+         {"replications": 200}),
+    ], ids=["granularity", "reps-over-preset"])
+    def test_flags_set_their_keys(self, tmp_path, args, section, rows):
+        assert run_cli(args + ["--out", "r"], tmp_path) == 0
+        doc = json.loads((tmp_path / "r.json").read_text())
+        assert doc["scenario"] == dict(section, version="1")
+        got = {r["metric"]: r["value"] for r in doc["rows"]}
+        assert {k: got[k] for k in rows} == rows
+
 
 class TestRunInputs:
     """Each flag and scenario key that a run reads reaches its model, and
@@ -436,37 +571,44 @@ class TestRunInputs:
 
     @pytest.mark.parametrize("command,doc,flags,fn,passed,absent", [
         ("sim queue", {"sim": dict(MG1, replications=100000)},
-         ["--reps", "30000"], "sim_queue", {"n_customers": 30000},
+         ["--reps", "30000"], "sim.sim_queue", {"n_customers": 30000},
          ["level"]),
-        ("sim queue", {"sim": dict(MG1, level=0.9)}, [], "sim_queue",
+        ("sim queue", {"sim": dict(MG1, level=0.9)}, [], "sim.sim_queue",
          {"level": 0.9}, ["n_customers"]),
         ("sim reliability", {"copyset": COPYSET,
                              "sim": {"replications": 3000, "level": 0.9}},
-         [], "sim_copyset_loss",
+         [], "sim.sim_copyset_loss",
          {"reps": 3000, "level": 0.9, "fail_fraction": 0.4},
          ["fail_count"]),
         ("sim reliability", {"copyset": COPYSET}, ["--reps", "3000"],
-         "sim_copyset_loss", {"reps": 3000}, ["level"]),
+         "sim.sim_copyset_loss", {"reps": 3000}, ["level"]),
         ("sim reliability", {"sim": GENERIC}, ["--seed", "4"],
-         "sim_generic_mttdl", {"n": 10, "tolerance": 1, "seed": 4},
+         "sim.sim_generic_mttdl", {"n": 10, "tolerance": 1, "seed": 4},
          ["reps", "level", "regime"]),
         ("sim reliability", {"sim": {"kind": "resch-table", "level": 0.9}},
-         ["--reps", "300"], "sim_generic_mttdl", {"reps": 300, "level": 0.9},
-         ["regime"]),
+         ["--reps", "300"], "sim.sim_generic_mttdl",
+         {"reps": 300, "level": 0.9}, ["regime"]),
+        ("code check", load_preset("was-lrc"), ["--erasures", "all-triples"],
+         "codes.recoverable_fraction", {"f": 3, "granularity": "column"},
+         ["decoder", "budget"]),
     ], ids=["queue-reps-flag", "queue-level", "copyset-section",
-            "copyset-reps-flag", "generic-defaults", "resch-table-level"])
+            "copyset-reps-flag", "generic-defaults", "resch-table-level",
+            "erasures-flag-over-preset"])
     def test_model_gets_what_the_run_gives(self, tmp_path, monkeypatch,
                                            command, doc, flags, fn, passed,
                                            absent):
-        from raidlab import sim
+        module, name = fn.split(".")
+        layer = importlib.import_module("raidlab." + module)
         calls = []
-        real = getattr(sim, fn)
+        real = getattr(layer, name)
 
         def spy(*args, **kwargs):
-            calls.append(kwargs)
+            # the arguments by parameter name, defaults left out
+            calls.append(inspect.signature(real).bind(*args, **kwargs)
+                         .arguments)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(sim, fn, spy)
+        monkeypatch.setattr(layer, name, spy)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
         assert run_cli(command.split() + ["--config", str(cfg)] + flags,

@@ -78,7 +78,7 @@ class TestRecoverability:
         assert is_recoverable(c, ["d3", "d9", "d15", "d21", "d2", "d12"])
 
     def test_monotone_supersets(self):
-        c = builders.sspiral(8)
+        c = builders.sspiral()
         fatal = ("A", "ABC", "CDA", "DAB")
         assert not is_recoverable(c, fatal)
         for extra in set(c.symbols) - set(fatal):
@@ -140,7 +140,7 @@ class TestTolerance:
         # (a data disk with the three parities it participates in, a data
         # triple with its covering parity, or a data pair with the two
         # parities spanning the other pair)
-        c = builders.sspiral(8)
+        c = builders.sspiral()
         assert erasure_tolerance(c) == 3
         assert not is_recoverable(c, ["A", "B", "C", "ABC"])
         assert is_recoverable(c, ["A", "B", "C", "D"])
@@ -422,7 +422,7 @@ class TestLossCoefficients:
 
     def test_sspiral_fatal_four(self):
         import math
-        a = loss_coefficients(builders.sspiral(8))
+        a = loss_coefficients(builders.sspiral())
         assert math.comb(8, 4) - a[4] == 14
         assert math.comb(8, 4) // 5 == 14
 
@@ -438,7 +438,7 @@ class TestLossCoefficients:
         assert not is_recoverable(c, ["a"])
 
     def test_zero_index_is_one(self):
-        a = loss_coefficients(builders.lsi(8))
+        a = loss_coefficients(builders.lsi())
         assert a[0] == 1
         # three-failure survivors: all but the data-centered triples
         import math

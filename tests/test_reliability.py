@@ -377,12 +377,18 @@ class TestTmr:
                                                            rel=1e-12)
 
     def test_early_coefficients_and_ranking(self):
-        a = tmr(1e-3, "tmr")["early_coefficient"]
-        b = tmr(1e-3, "tmr_simplex")["early_coefficient"]
-        assert (a, b) == (3.0, 4.0)
+        delta, t = 1e-3, 1e-2
+        coeffs = []
+        for variant in ("tmr", "tmr_simplex"):
+            out = tmr(delta, variant)
+            # 1 - R(t) = coeff (delta t)^2 + O((delta t)^3)
+            got = (1 - out["reliability"](t)) / (delta * t) ** 2
+            assert out["early_coefficient"] == pytest.approx(got, rel=1e-4)
+            coeffs.append(out["early_coefficient"])
         # smaller early coefficient means more reliable early, per the
-        # quadratic expansion 1 - coeff (delta t)^2
-        assert a < b
+        # quadratic expansion 1 - coeff (delta t)^2: simplex is, early on
+        a, b = coeffs
+        assert b < a
 
 
 class TestDiffRaid:
